@@ -54,6 +54,30 @@ def _model_config(raw):
                        rho=float(raw.get("rho", 0.1)))
 
 
+def _check_grid_alignment(model, sim, times, ladder):
+    """Every time a suite integrates from or to must lie on each integration grid.
+
+    The grids are rho / steps_per_rho for the model rho (sim.dt for a
+    delay-free registry model) and, for controlled models, for every rho
+    on the ladder.  The tolerance is the integrator's own.
+    """
+    k = sim.steps_per_rho
+    delayed = model.kind == "controlled_linear" or model.delay_variant != "none"
+    grids = [("model rho", model.rho / k if delayed else sim.dt)]
+    if model.kind == "controlled_linear":
+        grids += [(f"ladder rho={r:g}", r / k) for r in ladder]
+    s, t, burn = times.s, times.t, times.t_burn
+    points = [("s", s), ("t", t), ("t - t_burn", t - burn), ("s + horizon", s + times.horizon),
+              ("s + pair_horizon", s + times.pair_horizon)]
+    points += [(f"t - {n:g} (lookback)", t - n) for n in times.lookbacks]
+    points += [(f"time_ladder {u:g}", u) for u in times.time_ladder]
+    points += [(f"time_ladder {u:g} - t_burn", u - burn) for u in times.time_ladder]
+    for grid, dt in grids:
+        for name, v in points:
+            _require(abs(round(v / dt) * dt - v) <= 1e-6 * dt, "times / grid alignment",
+                     f"{name} = {v:g} is not a multiple of dt = {dt:g} ({grid})")
+
+
 def parse_config(path):
     """Read and validate a scenario JSON file into a ScenarioConfig.
 
@@ -118,10 +142,7 @@ def parse_config(path):
              "must be 'label' or 'discrete'")
 
     ladder = tuple(float(r) for r in raw.get("rho_ladder", [0.4, 0.2, 0.1, 0.05]))
-    for r in ladder:
-        k = sim.steps_per_rho
-        _require(abs(k * (r / k) - r) < 1e-12, "rho ladder / grid alignment",
-                 f"rho={r} must equal dt*{k}")
+    _check_grid_alignment(model, sim, times, ladder)
 
     init_raw = raw.get("initial", {})
     provenance = {
@@ -190,6 +211,7 @@ def _apply_overrides(cfg, seed, dt_per_rho, atom_cap):
                       provenance={**cfg.provenance, "seed": seed})
     if dt_per_rho is not None:
         cfg = replace(cfg, sim=replace(cfg.sim, steps_per_rho=dt_per_rho))
+        _check_grid_alignment(cfg.model, cfg.sim, cfg.times, cfg.rho_ladder)
     if atom_cap is not None:
         cfg = replace(cfg, tolerances=replace(cfg.tolerances, atom_cap=atom_cap))
     return cfg
@@ -205,8 +227,6 @@ CONFIG_OPT = click.option("--config", "config_path", required=True,
 SEED_OPT = click.option("--seed", type=int, default=None, help="override master seed")
 OUT_OPT = click.option("--out", "out_dir", type=click.Path(), default=None,
                        help="override output directory")
-THREADS_OPT = click.option("--threads", type=int, default=1,
-                           help="worker-parallelism cap (results are order-independent)")
 CAP_OPT = click.option("--atom-cap", type=int, default=None,
                        help="override LP support cap")
 DTK_OPT = click.option("--dt-per-rho", type=int, default=None,
@@ -292,10 +312,14 @@ def measure(config_path, seed, out_dir, atom_cap):
         sys.exit(3)
     if mu.space_tag == "H":
         width = len(mu.points[0].values)
-        rows = [("weight", "mode") + tuple(f"seg_{i}" for i in range(width))]
+        if model.dim == 1:
+            names = tuple(f"seg_{i}" for i in range(width))
+        else:  # node-major: seg_<node>_<coordinate>
+            names = tuple(f"seg_{i}_{c + 1}" for i in range(width) for c in range(model.dim))
+        rows = [("weight", "mode") + names]
         for p, w in zip(mu.points, mu.weights):
             rows.append((repr(float(w)), str(p.mode))
-                        + tuple(repr(float(v)) for v in p.values[:, 0]))
+                        + tuple(repr(float(v)) for v in p.values.ravel()))
     else:
         rows = [("weight", "mode") + tuple(f"x_{i + 1}" for i in range(model.dim))]
         for (x, j), w in zip(mu.points, mu.weights):
@@ -310,10 +334,9 @@ def measure(config_path, seed, out_dir, atom_cap):
 @CONFIG_OPT
 @SEED_OPT
 @OUT_OPT
-@THREADS_OPT
 @CAP_OPT
 @DTK_OPT
-def suite(config_path, seed, out_dir, threads, atom_cap, dt_per_rho):
+def suite(config_path, seed, out_dir, atom_cap, dt_per_rho):
     """Run every suite listed in the scenario and write CSV + verdict.json."""
     try:
         cfg = parse_config(config_path)

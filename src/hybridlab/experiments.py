@@ -43,14 +43,16 @@ class ModelConfig:
             raise ValidationError("controlled_spec requires a controlled_linear model")
         F = [np.asarray(x, dtype=float) for x in self.drift_mats]
         A = [np.asarray(x, dtype=float) for x in self.gain_mats]
-        G = [[np.asarray(c, dtype=float) for c in cols] for cols in self.diffusion_cols]
+        # sigma(j, x)[..., a, l] = (G_{j,l} x)_a, one product per mode with the
+        # transposed column factors side by side: S_j[b, a*m + l] = G_{j,l}[a, b]
+        S = [np.stack([np.asarray(c, dtype=float).T for c in cols], axis=-1).reshape(self.dim, -1)
+             for cols in self.diffusion_cols]
 
         def h(j, x):
             return x @ F[j - 1].T
 
         def sigma(j, x):
-            cols = [x @ gl.T for gl in G[j - 1]]
-            return np.stack(cols, axis=-1)
+            return (x @ S[j - 1]).reshape(x.shape[:-1] + (self.dim, -1))
 
         return ControlledModelSpec(dim=self.dim, noise_dim=self.noise_dim, h=h,
                                    sigma=sigma, gains=A,
@@ -58,7 +60,7 @@ class ModelConfig:
 
     def build_primary(self, g, rho=None):
         if self.kind == "controlled_linear":
-            return build_controlled_model(self.controlled_spec(rho), g, vectorized=True)
+            return build_controlled_model(self.controlled_spec(rho), g)
         delay = (DelaySpec(variant="none") if self.delay_variant == "none"
                  else DelaySpec(variant=self.delay_variant,
                                 rho=self.rho if rho is None else rho))
@@ -66,7 +68,7 @@ class ModelConfig:
 
     def build_zero(self, g):
         if self.kind == "controlled_linear":
-            return build_delay_free_model(self.controlled_spec(), g, vectorized=True)
+            return build_delay_free_model(self.controlled_spec(), g)
         return registry_model(self.name, g, delay=DelaySpec(variant="none"))
 
     def certificate(self, g):
@@ -393,8 +395,8 @@ def run_endpoint_convergence(cfg):
     exceed = {eta: [] for eta in tol.eta}
     for ri, rho in enumerate(cfg.rho_ladder):
         spec = cfg.model.controlled_spec(rho=rho)
-        m_rho = build_controlled_model(spec, g, vectorized=True)
-        m_zero = build_delay_free_model(spec, g, vectorized=True)
+        m_rho = build_controlled_model(spec, g)
+        m_zero = build_delay_free_model(spec, g)
         sim = cfg.sim_cfg(rho, cfg.sim.seed + SEED_LADDER + ri)
         worst = {eta: 0.0 for eta in tol.eta}
         for xi_full in family:

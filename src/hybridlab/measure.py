@@ -8,15 +8,13 @@ program over test-function values a_i with |a_i| <= c, pairwise slopes
 bounded by L, and c + L <= 1.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import GridMismatch, LPFailure, NonFiniteCoefficient, ValidationError
-from .simulate import SegmentGrid, integrate, integrate_ensemble, segment_at
+from .simulate import SegmentGrid, integrate_paths, segment_at
 from .switching import make_stream, mode_at
 
 WEIGHT_TOL = 1e-12
@@ -116,6 +114,14 @@ def _measure_key(mu):
     return mu.weights.tobytes() + body
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first solve: scipy's import is most of
+    the start-up time of a command that solves no LP."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def bl_distance(mu1, mu2, spec, atom_cap=DEFAULT_ATOM_CAP, subsample_seed=0):
     """Exact dual bounded-Lipschitz distance between two finite-support measures.
 
@@ -161,6 +167,8 @@ def bl_distance(mu1, mu2, spec, atom_cap=DEFAULT_ATOM_CAP, subsample_seed=0):
     r_idx.append(np.array([rows - 1, rows - 1]))
     c_idx.append(np.array([n, n + 1]))
     data.append(np.array([1.0, 1.0]))
+    from scipy import sparse
+
     A = sparse.csr_matrix(
         (np.concatenate(data), (np.concatenate(r_idx), np.concatenate(c_idx))),
         shape=(rows, n + 2),
@@ -175,6 +183,19 @@ def bl_distance(mu1, mu2, spec, atom_cap=DEFAULT_ATOM_CAP, subsample_seed=0):
     return max(0.0, -float(res.fun))
 
 
+def _atoms_at(m, jobs, j0, t, cfg):
+    """Empirical measure of the paths ``jobs`` at time t, uniform over paths.
+
+    Atoms are (segment, mode) pairs when the model has a delay, and
+    (endpoint, mode) pairs otherwise.
+    """
+    paths = integrate_paths(m, jobs, j0, t, cfg)
+    if m.delay.variant != "none":
+        return EmpiricalMeasure.from_segments([segment_at(tr, t) for tr in paths])
+    return EmpiricalMeasure.from_state_points(
+        [(tr.states[-1], mode_at(tr.mode_path, t)) for tr in paths])
+
+
 def ensemble_at(m, s, xi, j0, t, M, cfg):
     """Uniform empirical measure of M i.i.d. path states at time t.
 
@@ -183,24 +204,9 @@ def ensemble_at(m, s, xi, j0, t, M, cfg):
     """
     if M < 1:
         raise ValidationError("M must be >= 1")
-    has_delay = m.delay.variant != "none"
-    if has_delay:
-        rho = m.delay.rho
-        if t < s + rho:
-            raise ValidationError(f"t={t} must be at least s + rho = {s + rho}")
-        segs = []
-        for p in range(M):
-            tr = integrate(m, s, xi, j0, t, replace(cfg, path_index=p))
-            segs.append(segment_at(tr, t))
-        return EmpiricalMeasure.from_segments(segs)
-    if m.vectorized and m.generator.n_states == 1:
-        ends = integrate_ensemble(m, s, xi, j0, t, cfg, M)
-        return EmpiricalMeasure.from_state_points([(ends[p], j0) for p in range(M)])
-    pts = []
-    for p in range(M):
-        tr = integrate(m, s, xi, j0, t, replace(cfg, path_index=p))
-        pts.append((tr.states[-1], mode_at(tr.mode_path, t)))
-    return EmpiricalMeasure.from_state_points(pts)
+    if m.delay.variant != "none" and t < s + m.delay.rho:
+        raise ValidationError(f"t={t} must be at least s + rho = {s + m.delay.rho}")
+    return _atoms_at(m, [(s, xi, p) for p in range(M)], j0, t, cfg)
 
 
 def kb_average(m, xi, j0, t, n, starts, paths_per_start, cfg):
@@ -209,7 +215,8 @@ def kb_average(m, xi, j0, t, n, starts, paths_per_start, cfg):
     Start times are drawn uniformly on [-n, t - rho] (snapped to the
     integration grid) so the time integral is estimated without aliasing
     against periodic structure; each start contributes paths_per_start
-    independent paths.
+    independent paths.  All paths share one grid, each inactive before
+    its start.
     """
     if starts < 1:
         raise ValidationError("starts must be >= 1")
@@ -220,21 +227,9 @@ def kb_average(m, xi, j0, t, n, starts, paths_per_start, cfg):
     raw = rng.uniform(-n, t - rho, size=starts)
     taus = np.round(raw / cfg.dt) * cfg.dt
     taus = np.clip(taus, None, t - rho if rho > 0 else t - cfg.dt)
-    atoms = []
-    pts = []
-    has_delay = rho > 0.0
-    for i, tau in enumerate(taus):
-        tau = round(tau / cfg.dt) * cfg.dt
-        for p in range(paths_per_start):
-            pc = replace(cfg, path_index=i * paths_per_start + p)
-            tr = integrate(m, tau, xi, j0, t, pc)
-            if has_delay:
-                atoms.append(segment_at(tr, t))
-            else:
-                pts.append((tr.states[-1], mode_at(tr.mode_path, t)))
-    if has_delay:
-        return EmpiricalMeasure.from_segments(atoms)
-    return EmpiricalMeasure.from_state_points(pts)
+    jobs = [(round(tau / cfg.dt) * cfg.dt, xi, i * paths_per_start + p)
+            for i, tau in enumerate(taus) for p in range(paths_per_start)]
+    return _atoms_at(m, jobs, j0, t, cfg)
 
 
 def project_T(mu):

@@ -2,7 +2,9 @@
 
 A model bundles drift f(t, j, x, y) and diffusion g(t, j, x, y) with a
 delay specification and a switching generator.  The y argument is the
-state read back at the delayed time t - rho0(t).  Controlled models add
+state read back at the delayed time t - rho0(t).  Coefficients are
+batched: the integrator passes a batch of P paths in mode j, x and y of
+shape (P, n) and t a (P, 1) column.  Controlled models add
 a per-mode linear feedback gain applied to the last sampled observation
 (sawtooth delay).
 
@@ -12,7 +14,6 @@ seen.  Dissipativity is certified exactly for linear coefficients via
 an eigenvalue test, and diagnosed by sampling otherwise.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -26,8 +27,9 @@ def sawtooth_delay(t, rho):
     """Elapsed time since the last observation instant: t - floor(t/rho)*rho.
 
     Uses floor (not truncation), so negative t is handled correctly.
+    Accepts a scalar or an array of times.
     """
-    return t - math.floor(t / rho) * rho
+    return t - np.floor(t / rho) * rho
 
 
 @dataclass(frozen=True)
@@ -58,23 +60,24 @@ class DelaySpec:
             object.__setattr__(self, "table_values", tv)
 
     def delay_at(self, t):
+        """rho0(t) for a scalar or an array of times."""
         if self.variant == "none":
-            return 0.0
+            return np.zeros_like(t, dtype=float)
         if self.variant == "constant":
-            return self.rho
+            return np.full_like(t, self.rho, dtype=float)
         if self.variant == "sawtooth":
             return sawtooth_delay(t, self.rho)
-        return float(np.interp(t, self.table_times, self.table_values))
+        return np.interp(t, self.table_times, self.table_values)
 
 
 @dataclass(frozen=True)
 class HybridDelayModel:
     """Drift/diffusion contracts with delay and switching structure.
 
-    drift(t, j, x, y) -> R^n and diffusion(t, j, x, y) -> R^{n x m} must be
-    pure functions.  ``vectorized`` asserts that both accept a leading
-    path axis on x and y, which enables the fast ensemble integrator for
-    switching-free, delay-free models.
+    drift(t, j, x, y) -> (P, n) and diffusion(t, j, x, y) -> (P, n, m) must
+    be pure functions of a batch of P paths in mode j: x and y have shape
+    (P, n) and t is a (P, 1) column of the paths' times.  Results that
+    broadcast to those shapes (a constant, say) are accepted.
     """
 
     dim: int
@@ -83,7 +86,6 @@ class HybridDelayModel:
     diffusion: Callable
     delay: DelaySpec
     generator: Generator
-    vectorized: bool = False
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _probe_shapes(spec, g):
         raise ShapeMismatch(f"{len(spec.gains)} gain matrices for {g.n_states} modes")
 
 
-def build_controlled_model(spec, g, vectorized=False):
+def build_controlled_model(spec, g):
     """Assemble the sampled-feedback model: drift h(j,x) + A(j) y, sawtooth delay."""
     _probe_shapes(spec, g)
     gains = spec.gains
@@ -159,11 +161,10 @@ def build_controlled_model(spec, g, vectorized=False):
         diffusion=diffusion,
         delay=DelaySpec(variant="sawtooth", rho=spec.rho),
         generator=g,
-        vectorized=vectorized,
     )
 
 
-def build_delay_free_model(spec, g, vectorized=False):
+def build_delay_free_model(spec, g):
     """Continuous-observation companion: drift h(j,x) + A(j) x, no delay."""
     _probe_shapes(spec, g)
     gains = spec.gains
@@ -181,7 +182,6 @@ def build_delay_free_model(spec, g, vectorized=False):
         diffusion=diffusion,
         delay=DelaySpec(variant="none", rho=0.0),
         generator=g,
-        vectorized=vectorized,
     )
 
 
@@ -338,13 +338,13 @@ def _unit_diffusion_1d(t, j, x, y):
 #: Named nonlinear benchmark coefficients selectable from scenario configs.
 COEFFICIENT_REGISTRY = {
     "cubic": {"drift": _cubic_drift, "diffusion": _zero_diffusion_1d,
-              "dim": 1, "noise_dim": 1, "vectorized": True},
+              "dim": 1, "noise_dim": 1},
     "ou": {"drift": _ou_drift, "diffusion": _unit_diffusion_1d,
-           "dim": 1, "noise_dim": 1, "vectorized": True},
+           "dim": 1, "noise_dim": 1},
 }
 
 
-def registry_model(name, generator, delay=None, vectorized=None):
+def registry_model(name, generator, delay=None):
     """Build a HybridDelayModel from a named benchmark coefficient set."""
     if name not in COEFFICIENT_REGISTRY:
         raise ValidationError(f"unknown registry coefficient {name!r}")
@@ -356,5 +356,4 @@ def registry_model(name, generator, delay=None, vectorized=None):
         diffusion=entry["diffusion"],
         delay=delay if delay is not None else DelaySpec(variant="none"),
         generator=generator,
-        vectorized=entry["vectorized"] if vectorized is None else vectorized,
     )

@@ -1,17 +1,28 @@
 """Euler-Maruyama integration of hybrid delay SDEs.
 
-The time mesh is the uniform base grid (absolute times i * dt, with
-dt = rho / steps_per_rho when a delay is present) refined by the exact
-mode-jump times.  The mode is frozen on each sub-interval at its left
-endpoint, so no interval straddles a jump.  Delayed state reads use
-linear interpolation in the stored history, with exact hits snapped to
-stored grid values.
+Each path's time mesh is the uniform base grid (absolute times i * dt,
+with dt = rho / steps_per_rho when a delay is present) refined by its own
+exact mode-jump times.  The mode is frozen on each sub-interval at its
+left endpoint, so no interval straddles a jump.  Delayed state reads use
+linear interpolation in the path's stored history, with exact hits
+snapped to stored grid values.
+
+One engine advances every path of an ensemble together on the shared
+base grid.  Within a base step it runs as many sub-step slots as the
+busiest path has jumps in that step; a path with fewer jumps sits the
+extra slots out and its state is left untouched.  In each slot the
+coefficients are called once per mode on the batch of paths in that
+mode, so the model contract is batched: drift(t, j, x, y) -> (P, n) and
+diffusion(t, j, x, y) -> (P, n, m) for x, y of shape (P, n) and t a
+(P, 1) column of per-path times.
 
 All randomness comes from counter-based streams keyed by
-(seed, path_index), making ensembles reproducible and order-independent.
+(seed, path_index), and each path draws its mode path and its Wiener
+increments on its own mesh in the same order whether it runs alone or in
+an ensemble, so ensembles are reproducible and order-independent.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,6 +31,7 @@ from .errors import Blowup, GridMismatch, NonFiniteCoefficient, OutOfRange, Vali
 from .switching import ModePath, modes_on_grid, mode_at, path_streams, sample_mode_path
 
 GRID_SNAP = 1e-9  # relative to dt: treat delayed reads this close to a node as exact
+ROW_BUDGET = 1 << 18  # path steps per engine run; longer ensembles run in chunks of paths
 
 
 @dataclass(frozen=True)
@@ -83,6 +95,18 @@ class Trajectory:
         return float(self.times[-1])
 
 
+@dataclass(frozen=True)
+class _Draw:
+    """One path's randomness on its own mesh (base grid plus its jump times)."""
+
+    mode_path: ModePath
+    mesh: np.ndarray
+    base_step: np.ndarray  # base-grid step index i (absolute) of each mesh step
+    modes: np.ndarray      # mode in force on each mesh step
+    deltas: np.ndarray
+    dW: np.ndarray         # (steps, m) Wiener increments
+
+
 def _grid_index(t, dt, what):
     i = round(t / dt)
     if abs(i * dt - t) > 1e-6 * dt:
@@ -106,30 +130,35 @@ def _history_from_xi(xi, k, rho, dt, i0, n):
     return times, vals
 
 
-def _prepare(model, s, t_end, j0, cfg, mode_path=None, rng_mode=None):
+def _draw(model, s, t_end, j0, cfg, path_index):
+    """Sample path ``path_index``'s mode path and Wiener increments over [s, t_end]."""
     dt = cfg.dt
     i0 = _grid_index(s, dt, "start time")
     i1 = _grid_index(t_end, dt, "end time")
     if i1 <= i0:
         raise ValidationError(f"t_end={t_end} must exceed s={s}")
+    rng_mode, rng_w = path_streams(cfg.seed, path_index)
     base = np.arange(i0, i1 + 1) * dt
-    if mode_path is None:
-        # sample over the realized grid span so float rounding of s cannot
-        # push mesh nodes outside the mode-path horizon
-        mode_path = sample_mode_path(model.generator, j0, float(base[0]), float(base[-1]),
-                                     rng_mode)
+    # sample over the realized grid span so float rounding of s cannot
+    # push mesh nodes outside the mode-path horizon
+    mode_path = sample_mode_path(model.generator, j0, float(base[0]), float(base[-1]), rng_mode)
     jumps = mode_path.jump_times
     jumps = jumps[(jumps > base[0]) & (jumps < base[-1])]
-    mesh = np.union1d(base, jumps)
-    step_modes = modes_on_grid(mode_path, mesh[:-1])
+    if len(jumps):
+        mesh = np.union1d(base, jumps)
+        base_step = i0 + np.searchsorted(base, mesh[:-1], side="right") - 1
+    else:
+        mesh = base
+        base_step = np.arange(i0, i1)
     deltas = np.diff(mesh)
-    return mode_path, mesh, step_modes, deltas
+    dW = rng_w.standard_normal((len(deltas), model.noise_dim)) * np.sqrt(deltas)[:, None]
+    return _Draw(mode_path, mesh, base_step, modes_on_grid(mode_path, mesh[:-1]), deltas, dW)
 
 
 def _delay_lookups(delay, mesh, all_times):
     """Precompute (left index, weight) for the delayed read at each step start."""
     starts = mesh[:-1]
-    t_d = np.array([t - delay.delay_at(t) for t in starts])
+    t_d = starts - delay.delay_at(starts)
     if np.any(t_d < all_times[0] - 1e-9):
         raise OutOfRange("delayed read before the start of the stored history")
     t_d = np.clip(t_d, all_times[0], None)
@@ -147,80 +176,239 @@ def _delay_lookups(delay, mesh, all_times):
     return idx, w
 
 
-def _step_loop(model, mesh, step_modes, deltas, dW, hist_vals, all_times, cfg):
-    """Core explicit scheme; returns the (len(all_times), n) state array."""
-    n, m = model.dim, model.noise_dim
-    n_hist = len(hist_vals) - 1 if len(hist_vals) else 0
-    total = n_hist + len(mesh)
-    states = np.empty((total, n))
-    if n_hist:
-        states[:n_hist] = hist_vals[:-1]
-        u = np.array(hist_vals[-1], dtype=float)
-    else:
-        u = np.array(hist_vals[0] if len(hist_vals) else np.zeros(n), dtype=float)
-    has_delay = model.delay.variant != "none"
-    if has_delay:
-        didx, dw_frac = _delay_lookups(model.delay, mesh, all_times)
-    f, g = model.drift, model.diffusion
-    guard = cfg.blowup_guard
-    for i in range(len(deltas)):
-        pos = n_hist + i
-        states[pos] = u
-        t = mesh[i]
-        j = int(step_modes[i])
-        if has_delay:
-            k = didx[i]
-            w = dw_frac[i]
-            y = states[k] if w == 0.0 else (1.0 - w) * states[k] + w * states[k + 1]
-        else:
-            y = u
-        fv = np.asarray(f(t, j, u, y), dtype=float).reshape(n)
-        gv = np.asarray(g(t, j, u, y), dtype=float).reshape(n, m)
-        u = u + fv * deltas[i] + gv @ dW[i]
-        mag = float(np.max(np.abs(u)))
-        if not mag <= guard:
-            if not np.all(np.isfinite(u)):
-                raise NonFiniteCoefficient(
-                    f"non-finite state at t={mesh[i + 1]:.6g} (path {cfg.path_index})")
-            raise Blowup(mesh[i + 1], cfg.path_index, mag)
-    states[-1] = u
-    return states
+def _increment(f, g, t, j, u, y, delta, dW):
+    """Euler step u + f dt + g dW for a batch of paths in mode j."""
+    rows, n = u.shape
+    m = dW.shape[1]
+    fv = np.asarray(f(t, j, u, y), dtype=float)
+    gv = np.asarray(g(t, j, u, y), dtype=float)
+    if fv.shape != (rows, n):
+        fv = np.broadcast_to(fv, (rows, n))
+    if gv.shape != (rows, n, m):
+        gv = np.broadcast_to(gv, (rows, n, m))
+    noise = gv[:, :, 0] * dW if m == 1 else np.matmul(gv, dW[:, :, None])[:, :, 0]
+    return u + fv * delta + noise
 
 
-def integrate(m, s, xi, j0, t_end, cfg, _shared=None):
+def _slots(path, bstep):
+    """Slot of each path step, given each step's path and base step (path-major).
+
+    Base step i runs 1 + (the most jumps any path has inside step i) slots,
+    and a path's r-th sub-step of base step i runs in slot r of step i.
+    Returns (slot of each step, number of slots).
+    """
+    n = len(path)
+    first = np.ones(n, dtype=bool)
+    first[1:] = (path[1:] != path[:-1]) | (bstep[1:] != bstep[:-1])
+    starts = np.flatnonzero(first)
+    sub = np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
+    b0 = int(bstep.min())
+    width = np.zeros(int(bstep.max()) - b0 + 1, dtype=np.intp)
+    jumped = sub > 0
+    np.maximum.at(width, bstep[jumped] - b0, sub[jumped])
+    slot_base = np.concatenate([[0], np.cumsum(width + 1)])
+    return slot_base[bstep - b0] + sub, int(slot_base[-1])
+
+
+class _Batch:
+    """Paths integrated together by the lockstep engine.
+
+    Node storage is one array: the state at the start of every path step
+    (in slot order), then each path's initial-segment history, then each
+    path's final state.  ``nodes`` lists, path by path, the storage row of
+    each node of that path's own time sequence (history, mesh).
+    """
+
+    def __init__(self, model, cfg, draws, xis, path_indices):
+        n = model.dim
+        dt = cfg.dt
+        delayed = model.delay.variant != "none"
+        rho = model.delay.rho if delayed else 0.0
+        kh = cfg.steps_per_rho if delayed else 0
+        if delayed and abs(kh * dt - rho) > 1e-9 * rho:
+            raise GridMismatch(f"dt={dt} * {kh} does not equal rho={rho}")
+        P = len(draws)
+        self.draws, self.rho, self.kh, self.dt = draws, rho, kh, dt
+        self.i0 = [int(d.base_step[0]) for d in draws]  # base-grid index of each start
+
+        lens = np.array([len(d.deltas) for d in draws])
+        R = int(lens.sum())
+        step_off = np.concatenate([[0], np.cumsum(lens)])
+        node_off = np.concatenate([[0], np.cumsum(lens + kh + 1)])
+        self.node_off = node_off
+        store = np.empty((R + P * kh + P, n))
+        U = np.empty((P, n))
+        histories = {}
+        lookups = []
+        for q, (d, xi) in enumerate(zip(draws, xis)):
+            key = (id(xi), self.i0[q])
+            if key not in histories:
+                if delayed:
+                    histories[key] = _history_from_xi(xi, kh, rho, dt, self.i0[q], n)
+                else:
+                    x0 = xi.endpoint if isinstance(xi, SegmentGrid) else xi
+                    histories[key] = (None, np.asarray(x0, dtype=float).reshape(1, n))
+            hist_times, hist_vals = histories[key]
+            store[R + q * kh:R + (q + 1) * kh] = hist_vals[:-1]
+            U[q] = hist_vals[-1]
+            if delayed:
+                lookups.append(_delay_lookups(model.delay, d.mesh,
+                                              np.concatenate([hist_times[:-1], d.mesh])))
+
+        path = np.repeat(np.arange(P), lens)
+        modes = np.concatenate([d.modes for d in draws])
+        slot, n_slots = _slots(path, np.concatenate([d.base_step for d in draws]))
+        last_slot = slot[step_off[1:] - 1]
+        # slot-major rows; within a slot, the paths of each mode together
+        order = np.lexsort((path, modes, slot))
+
+        # node rows of each path's own sequence: history, mesh steps, final state
+        to_row = np.empty(R, dtype=np.intp)
+        to_row[order] = np.arange(R)
+        nodes = np.empty(node_off[-1], dtype=np.intp)
+        nodes[np.repeat(node_off[:-1] + kh - step_off[:-1], lens) + np.arange(R)] = to_row
+        nodes[np.repeat(node_off[:-1], kh) + np.tile(np.arange(kh), P)] = R + np.arange(P * kh)
+        nodes[node_off[1:] - 1] = R + P * kh + np.arange(P)
+        self.nodes = nodes
+
+        sorted_path = path[order]
+        sorted_slot = slot[order]
+        sorted_mode = modes[order]
+        times = np.concatenate([d.mesh[:-1] for d in draws])[order][:, None]
+        deltas = np.concatenate([d.deltas for d in draws])[order][:, None]
+        dW = np.concatenate([d.dW for d in draws])[order]
+        yrow = ywt = yrow2 = None
+        if delayed:
+            node_base = np.repeat(node_off[:-1], lens)
+            idx = np.concatenate([lk[0] for lk in lookups])
+            yrow = nodes[node_base + idx][order]
+            ywt = np.concatenate([lk[1] for lk in lookups])[order]
+            if np.any(ywt != 0.0):
+                nxt = np.minimum(node_base + idx + 1, np.repeat(node_off[1:] - 1, lens))
+                yrow2 = nodes[nxt][order]
+
+        bounds = np.searchsorted(sorted_slot, np.arange(n_slots + 1))
+        group = np.ones(R, dtype=bool)
+        group[1:] = (sorted_slot[1:] != sorted_slot[:-1]) | (sorted_mode[1:] != sorted_mode[:-1])
+        gstart = np.flatnonzero(group)
+        gfirst = np.searchsorted(sorted_slot[gstart], np.arange(n_slots + 1))
+        gbounds = np.append(gstart, R)
+        full = (np.diff(bounds) == P) & (np.diff(gfirst) == 1)
+
+        f, g = model.drift, model.diffusion
+        guard = cfg.blowup_guard
+        failed = {}
+        stop = n_slots
+        bounds, gfirst, gbounds = bounds.tolist(), gfirst.tolist(), gbounds.tolist()
+        gmode = sorted_mode[gstart].tolist()
+        full = full.tolist()
+        for sl in range(n_slots):
+            if sl > stop:
+                break
+            r0, r1 = bounds[sl], bounds[sl + 1]
+            pa = None if full[sl] else sorted_path[r0:r1]
+            u = U if pa is None else U[pa]
+            store[r0:r1] = u
+            if yrow is None:
+                y = u
+            else:
+                y = store[yrow[r0:r1]]
+                if yrow2 is not None:
+                    w = ywt[r0:r1]
+                    mix = w != 0.0
+                    if mix.any():
+                        wm = w[mix][:, None]
+                        y[mix] = (1.0 - wm) * y[mix] + wm * store[yrow2[r0:r1][mix]]
+            g0, g1 = gfirst[sl], gfirst[sl + 1]
+            if g1 - g0 == 1:
+                new = _increment(f, g, times[r0:r1], gmode[g0], u, y, deltas[r0:r1], dW[r0:r1])
+            else:
+                new = np.empty_like(u)
+                for gi in range(g0, g1):
+                    a, b = gbounds[gi], gbounds[gi + 1]
+                    ra, rb = a - r0, b - r0
+                    new[ra:rb] = _increment(f, g, times[a:b], gmode[gi], u[ra:rb], y[ra:rb],
+                                            deltas[a:b], dW[a:b])
+            if not np.abs(new).max() <= guard:
+                stop = self._fail(new, r0, sorted_path, order, step_off, path_indices,
+                                  guard, failed, last_slot)
+            if pa is None:
+                U = new
+            else:
+                U[pa] = new
+        if failed:
+            raise failed[min(failed)]
+        store[R + P * kh:] = U
+        self.store = store
+
+    def _fail(self, new, r0, sorted_path, order, step_off, path_indices, guard, failed,
+              last_slot):
+        """Record each path that leaves the guard in this slot; returns the last slot
+        still needed.  The reported failure is the first path's, as if the paths had
+        run one after another."""
+        mag = np.abs(new).max(axis=1)
+        bad = ~(mag <= guard)
+        for i in np.flatnonzero(bad):
+            q = int(sorted_path[r0 + i])
+            if q in failed:
+                continue
+            d = self.draws[q]
+            t = d.mesh[int(order[r0 + i]) - int(step_off[q]) + 1]
+            if not np.all(np.isfinite(new[i])):
+                failed[q] = NonFiniteCoefficient(
+                    f"non-finite state at t={t:.6g} (path {path_indices[q]})")
+            else:
+                failed[q] = Blowup(t, path_indices[q], float(mag[i]))
+        new[bad] = 0.0  # a failed path's later values are never read
+        first = min(failed)
+        return int(last_slot[:first].max()) if first else -1
+
+    def trajectory(self, q, start_time):
+        d = self.draws[q]
+        times = d.mesh
+        if self.kh:
+            times = np.concatenate([np.arange(self.i0[q] - self.kh, self.i0[q]) * self.dt, times])
+        states = self.store[self.nodes[self.node_off[q]:self.node_off[q + 1]]]
+        return Trajectory(times=times, states=states, mode_path=d.mode_path,
+                          model_rho=self.rho, start_time=start_time)
+
+
+def integrate(m, s, xi, j0, t_end, cfg):
     """Integrate one path of the model from (s, xi, j0) to t_end.
 
     xi is either a SegmentGrid on [-rho, 0] or a constant initial value
-    (replicated over the history window).  With ``_shared`` a
-    (mode_path, dW-drawer) pair, the caller supplies the randomness; this
-    is how the coupled integrators share noise.
+    (replicated over the history window).
     """
-    rho = m.delay.rho if m.delay.variant != "none" else 0.0
-    if _shared is None:
-        rng_mode, rng_w = path_streams(cfg.seed, cfg.path_index)
-        mode_path = None
-    else:
-        mode_path, rng_w = _shared
-        rng_mode = None
-    mode_path, mesh, step_modes, deltas = _prepare(m, s, t_end, j0, cfg, mode_path, rng_mode)
-    if rho > 0.0:
-        k = cfg.steps_per_rho
-        if abs(k * cfg.dt - rho) > 1e-9 * rho:
-            raise GridMismatch(f"dt={cfg.dt} * {k} does not equal rho={rho}")
-        i0 = _grid_index(s, cfg.dt, "start time")
-        hist_times, hist_vals = _history_from_xi(xi, k, rho, cfg.dt, i0, m.dim)
-        all_times = np.concatenate([hist_times[:-1], mesh])
-    else:
-        hist_vals = np.asarray(xi.endpoint if isinstance(xi, SegmentGrid) else xi,
-                               dtype=float).reshape(1, m.dim)
-        all_times = mesh
-    if callable(rng_w):
-        dW = rng_w(deltas)
-    else:
-        dW = rng_w.standard_normal((len(deltas), m.noise_dim)) * np.sqrt(deltas)[:, None]
-    states = _step_loop(m, mesh, step_modes, deltas, dW, hist_vals, all_times, cfg)
-    return Trajectory(times=all_times, states=states, mode_path=mode_path,
-                      model_rho=rho, start_time=s)
+    d = _draw(m, s, t_end, j0, cfg, cfg.path_index)
+    return _Batch(m, cfg, [d], [xi], [cfg.path_index]).trajectory(0, s)
+
+
+def integrate_paths(m, jobs, j0, t_end, cfg):
+    """Trajectories of the paths ``jobs`` = [(s, xi, path_index), ...] to t_end, in order.
+
+    The paths run in lockstep, each from its own start time; a long
+    ensemble runs in consecutive chunks of paths so that memory stays
+    bounded.  A path that leaves the blow-up guard raises the error the
+    first such path in ``jobs`` order would raise on its own.
+    """
+    pending = []
+    rows = 0
+    for s, xi, path_index in jobs:
+        d = _draw(m, s, t_end, j0, cfg, path_index)
+        pending.append((s, xi, path_index, d))
+        rows += len(d.deltas)
+        if rows >= ROW_BUDGET:
+            yield from _trajectories(m, cfg, pending)
+            pending, rows = [], 0
+    if pending:
+        yield from _trajectories(m, cfg, pending)
+
+
+def _trajectories(m, cfg, pending):
+    starts, xis, indices, draws = zip(*pending)
+    batch = _Batch(m, cfg, draws, xis, indices)
+    for q, s in enumerate(starts):
+        yield batch.trajectory(q, s)
 
 
 def segment_at(tr, t):
@@ -233,7 +421,6 @@ def segment_at(tr, t):
     dt_min = np.min(np.diff(tr.times))
     m_steps = round(rho / (tr.times[1] - tr.times[0])) if len(tr.times) > 1 else 1
     grid = np.linspace(t - rho, t, m_steps + 1)
-    vals = np.empty((m_steps + 1, tr.states.shape[1]))
     idx = np.searchsorted(tr.times, grid, side="right") - 1
     idx = np.clip(idx, 0, len(tr.times) - 2)
     span = tr.times[idx + 1] - tr.times[idx]
@@ -250,14 +437,9 @@ def segment_at(tr, t):
 
 def integrate_pair(m, s, xi1, xi2, j0, t_end, cfg):
     """Two paths from different initial segments driven by identical noise."""
-    rng_mode, rng_w = path_streams(cfg.seed, cfg.path_index)
-    mode_path, mesh, step_modes, deltas = _prepare(m, s, t_end, j0, cfg, None, rng_mode)
-    dW = rng_w.standard_normal((len(deltas), m.noise_dim)) * np.sqrt(deltas)[:, None]
-    out = []
-    for xi in (xi1, xi2):
-        tr = integrate(m, s, xi, j0, t_end, cfg, _shared=(mode_path, lambda _d: dW))
-        out.append(tr)
-    return out[0], out[1]
+    d = _draw(m, s, t_end, j0, cfg, cfg.path_index)
+    batch = _Batch(m, cfg, [d, d], [xi1, xi2], [cfg.path_index] * 2)
+    return batch.trajectory(0, s), batch.trajectory(1, s)
 
 
 def integrate_coupled_delay_limit(spec, g, s, xi, j0, t_end, cfg, models=None):
@@ -273,53 +455,17 @@ def integrate_coupled_delay_limit(spec, g, s, xi, j0, t_end, cfg, models=None):
     if models is None:
         models = (build_controlled_model(spec, g), build_delay_free_model(spec, g))
     m_rho, m_zero = models
-    rng_mode, rng_w = path_streams(cfg.seed, cfg.path_index)
-    mode_path, mesh, step_modes, deltas = _prepare(m_rho, s, t_end, j0, cfg, None, rng_mode)
-    dW = rng_w.standard_normal((len(deltas), m_rho.noise_dim)) * np.sqrt(deltas)[:, None]
-    tr_rho = integrate(m_rho, s, xi, j0, t_end, cfg, _shared=(mode_path, lambda _d: dW))
+    d = _draw(m_rho, s, t_end, j0, cfg, cfg.path_index)
+    tr_rho = _Batch(m_rho, cfg, [d], [xi], [cfg.path_index]).trajectory(0, s)
     x0 = xi.endpoint if isinstance(xi, SegmentGrid) else np.asarray(xi, dtype=float)
-    tr_zero = integrate(m_zero, s, x0, j0, t_end, cfg, _shared=(mode_path, lambda _d: dW))
+    tr_zero = _Batch(m_zero, cfg, [d], [x0], [cfg.path_index]).trajectory(0, s)
     return tr_rho, tr_zero
 
 
 def integrate_ensemble(m, s, xi, j0, t_end, cfg, n_paths):
-    """Endpoints of n_paths i.i.d. paths as an (n_paths, n) array.
-
-    For switching-free, delay-free, vectorized models all paths advance in
-    lockstep; the result is bitwise identical to per-path integrate calls
-    because the per-path streams and elementwise arithmetic are the same.
-    """
-    fast = (m.vectorized and m.delay.variant == "none" and m.generator.n_states == 1)
-    if not fast:
-        ends = np.empty((n_paths, m.dim))
-        for p in range(n_paths):
-            tr = integrate(m, s, xi, j0, t_end, replace(cfg, path_index=p))
-            ends[p] = tr.states[-1]
-        return ends
-    dt = cfg.dt
-    i0 = _grid_index(s, dt, "start time")
-    i1 = _grid_index(t_end, dt, "end time")
-    mesh = np.arange(i0, i1 + 1) * dt
-    deltas = np.diff(mesh)
-    nsteps = len(deltas)
-    sqrt_d = np.sqrt(deltas)
-    dW = np.empty((n_paths, nsteps, m.noise_dim))
-    for p in range(n_paths):
-        _, rng_w = path_streams(cfg.seed, p)
-        dW[p] = rng_w.standard_normal((nsteps, m.noise_dim)) * sqrt_d[:, None]
-    x0 = np.asarray(xi.endpoint if isinstance(xi, SegmentGrid) else xi, dtype=float)
-    U = np.tile(x0.reshape(1, m.dim), (n_paths, 1))
-    f, g = m.drift, m.diffusion
-    for i in range(nsteps):
-        t = mesh[i]
-        fv = np.asarray(f(t, j0, U, U), dtype=float).reshape(n_paths, m.dim)
-        gv = np.asarray(g(t, j0, U, U), dtype=float)
-        gv = np.broadcast_to(gv, (n_paths, m.dim, m.noise_dim))
-        U = U + fv * deltas[i] + np.einsum("pnm,pm->pn", gv, dW[:, i, :])
-        mag = np.max(np.abs(U))
-        if not mag <= cfg.blowup_guard:
-            bad = int(np.argmax(np.max(np.abs(U), axis=1)))
-            if not np.all(np.isfinite(U)):
-                raise NonFiniteCoefficient(f"non-finite state at t={mesh[i + 1]:.6g} (path {bad})")
-            raise Blowup(mesh[i + 1], bad, float(mag))
-    return U
+    """Endpoints of n_paths i.i.d. paths (path indices 0..n_paths-1) as an (n_paths, n) array."""
+    ends = np.empty((n_paths, m.dim))
+    jobs = ((s, xi, p) for p in range(n_paths))
+    for p, tr in enumerate(integrate_paths(m, jobs, j0, t_end, cfg)):
+        ends[p] = tr.states[-1]
+    return ends

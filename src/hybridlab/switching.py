@@ -103,7 +103,9 @@ def sample_mode_path(g, j0, s, t_end, rng):
 
     Holding time in mode i is Exponential(-r_ii); the next mode is chosen
     with probability r_ij / (-r_ii).  A zero exit rate (the N=1 limiting
-    case) yields a constant path.
+    case) yields a constant path.  The next mode is drawn by inverting the
+    jump distribution's cumulative sums at one uniform, exactly as
+    ``rng.choice(n, p=p)`` does, so the streams match that call draw for draw.
     """
     if t_end <= s:
         raise OutOfRange(f"t_end={t_end} must exceed s={s}")
@@ -111,21 +113,33 @@ def sample_mode_path(g, j0, s, t_end, rng):
     n = rates.shape[0]
     if not 1 <= j0 <= n:
         raise OutOfRange(f"mode {j0} not in 1..{n}")
+    # per mode: mean holding time and the next mode's cumulative distribution
+    # (None for a mode that is never left)
+    scales, cdfs = [], []
+    for i, exit_rate in enumerate(-np.diag(rates)):
+        if exit_rate <= 0.0:
+            scales.append(None)
+            cdfs.append(None)
+            continue
+        p = rates[i].copy()
+        p[i] = 0.0
+        p /= exit_rate
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        scales.append(1.0 / exit_rate)
+        cdfs.append(cdf)
     jump_times = []
     modes = [j0]
     t = s
     j = j0
     while True:
-        exit_rate = -rates[j - 1, j - 1]
-        if exit_rate <= 0.0:
+        scale = scales[j - 1]
+        if scale is None:
             break
-        t = t + rng.exponential(1.0 / exit_rate)
+        t = t + rng.exponential(scale)
         if t >= t_end:
             break
-        p = rates[j - 1].copy()
-        p[j - 1] = 0.0
-        p /= exit_rate
-        j = int(rng.choice(n, p=p)) + 1
+        j = int(cdfs[j - 1].searchsorted(rng.random(), side="right")) + 1
         jump_times.append(t)
         modes.append(j)
     return ModePath(start_time=s, end_time=t_end, jump_times=np.array(jump_times),

@@ -58,7 +58,7 @@ def test_criterion_2_integrator_weak_order():
         dim=1, noise_dim=1,
         drift=lambda t, j, x, y: -x,
         diffusion=lambda t, j, x, y: 0.5 * x[..., None],
-        delay=DelaySpec(variant="none"), generator=ONE_MODE, vectorized=True)
+        delay=DelaySpec(variant="none"), generator=ONE_MODE)
     target = math.exp(-1.0)
     M = 100_000
     t0 = time.monotonic()

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -174,3 +176,63 @@ def test_shipped_configs_parse():
     for name in ("certified_scalar.json", "uncontrolled_scalar.json"):
         cfg = parse_config(os.path.join(here, name))
         assert cfg.provenance["generator_valid"]
+
+
+def test_validate_misaligned_time_exit_2(tmp_path):
+    here = os.path.join(os.path.dirname(__file__), "..", "configs")
+    with open(os.path.join(here, "certified_scalar.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["times"]["t"] = 0.013
+    path = write_config(tmp_path, raw)
+    for command in (["validate"], ["suite", "--out", str(tmp_path / "out")],
+                    ["measure", "--out", str(tmp_path / "out")]):
+        res = CliRunner().invoke(main, command + ["--config", path])
+        assert res.exit_code == 2, command
+        assert "grid alignment" in res.output
+
+
+def test_dt_per_rho_override_rechecks_alignment(tmp_path):
+    raw = base_config()
+    raw["times"]["t_burn"] = 6.1  # a multiple of 0.4 / 4, not of 0.4 / 3
+    path = write_config(tmp_path, raw)
+    assert CliRunner().invoke(main, ["validate", "--config", path]).exit_code == 0
+    res = CliRunner().invoke(main, ["simulate", "--config", path, "--dt-per-rho", "3",
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+
+
+def test_suite_help_has_no_threads_option():
+    res = CliRunner().invoke(main, ["suite", "--help"])
+    assert res.exit_code == 0
+    assert "--threads" not in res.output
+
+
+def test_measure_writes_every_coordinate(tmp_path):
+    raw = base_config(generator=[[-3.0, 1.0, 2.0], [1.5, -2.0, 0.5], [2.0, 2.0, -4.0]])
+    raw["model"] = {
+        "kind": "controlled_linear", "dim": 2, "noise_dim": 2,
+        "drift": [[[0.5, 1.0], [-1.0, 0.5]], [[0.3, -0.5], [0.8, 0.2]], [[0.6, 0.0], [0.4, -0.2]]],
+        "gains": [[[-2.0, 0.0], [0.0, -2.0]]] * 3,
+        "diffusion": [[[[0.3, 0.0], [0.0, 0.3]], [[0.0, 0.2], [0.2, 0.0]]]] * 3,
+        "rho": 0.1,
+    }
+    raw["samples"]["paths"] = 12
+    raw["times"]["t_burn"] = 1.0
+    path = write_config(tmp_path, raw)
+    res = CliRunner().invoke(main, ["measure", "--config", path, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0
+    lines = (tmp_path / "out" / "clitest" / "measure.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    nodes = raw["sim"]["steps_per_rho"] + 1
+    assert len(header) == 2 + 2 * nodes
+    assert header[2:6] == ["seg_0_1", "seg_0_2", "seg_1_1", "seg_1_2"]
+    assert len(lines) == 13 and all(len(r.split(",")) == len(header) for r in lines[1:])
+
+
+def test_cli_import_does_not_import_scipy_optimize():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hybridlab.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

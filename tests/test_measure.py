@@ -222,7 +222,7 @@ def test_functional_normalization():
 
 
 def test_functional_mode_fraction_matches_stationary():
-    m = registry_model("ou", TWO_MODE, vectorized=False)
+    m = registry_model("ou", TWO_MODE)
     mu = ensemble_at(m, -30.0, np.array([0.0]), 1, 0.0, 600, SimConfig(dt=0.05, seed=12))
     frac = integrate_functional(mu, lambda p: 1.0 if p[1] == 1 else 0.0)
     assert abs(frac - 2.0 / 3.0) < 0.07

@@ -16,10 +16,10 @@ ONE_MODE = Generator(np.array([[0.0]]))
 TWO_MODE = Generator(np.array([[-1.0, 1.0], [2.0, -2.0]]))
 
 
-def make_model(drift, diffusion, g=ONE_MODE, delay=None, vectorized=False):
+def make_model(drift, diffusion, g=ONE_MODE, delay=None):
     return HybridDelayModel(dim=1, noise_dim=1, drift=drift, diffusion=diffusion,
                             delay=delay or DelaySpec(variant="none"),
-                            generator=g, vectorized=vectorized)
+                            generator=g)
 
 
 def zero_diff(t, j, x, y):
@@ -52,8 +52,7 @@ def test_linear_ode_error():
 
 def test_geometric_first_moment():
     # f = a u, g = b u: E u(1) = u0 e^a
-    m = make_model(lambda t, j, x, y: -x, lambda t, j, x, y: 0.5 * x[..., None],
-                   vectorized=True)
+    m = make_model(lambda t, j, x, y: -x, lambda t, j, x, y: 0.5 * x[..., None])
     ends = integrate_ensemble(m, 0.0, np.array([1.0]), 1, 1.0,
                               SimConfig(dt=0.01, seed=14), 4000)
     mean = ends.mean()
@@ -175,7 +174,7 @@ def test_ensemble_fast_path_bitwise_equal():
     fast = integrate_ensemble(m, 0.0, np.array([1.0]), 1, 1.0, cfg, 8)
     slow = integrate_ensemble(
         HybridDelayModel(dim=1, noise_dim=1, drift=m.drift, diffusion=m.diffusion,
-                         delay=m.delay, generator=m.generator, vectorized=False),
+                         delay=m.delay, generator=m.generator),
         0.0, np.array([1.0]), 1, 1.0, cfg, 8)
     assert np.array_equal(fast, slow)
 

@@ -114,3 +114,42 @@ def test_path_invariants(seed, horizon):
     # consecutive modes must actually change
     assert np.all(np.diff(p.modes) != 0)
     assert abs(occupation_fractions(p).sum() - 1.0) < 1e-12
+
+
+def reference_mode_path(g, j0, s, t_end, rng):
+    """Gillespie loop drawing the next mode with rng.choice."""
+    rates = g.rates
+    n = rates.shape[0]
+    times, modes, t, j = [], [j0], s, j0
+    while True:
+        exit_rate = -rates[j - 1, j - 1]
+        t = t + rng.exponential(1.0 / exit_rate)
+        if t >= t_end:
+            break
+        p = rates[j - 1].copy()
+        p[j - 1] = 0.0
+        p /= exit_rate
+        j = int(rng.choice(n, p=p)) + 1
+        times.append(t)
+        modes.append(j)
+    return np.array(times), np.array(modes)
+
+
+@pytest.mark.parametrize("rates", [
+    [[-1.0, 1.0], [2.0, -2.0]],
+    [[-30.0, 12.0, 18.0], [7.0, -30.0, 23.0], [15.0, 15.0, -30.0]],
+    [[-3.0, 0.5, 2.5], [1.0, -1.7, 0.7], [0.2, 4.0, -4.2]],
+])
+def test_mode_draws_match_rng_choice(rates):
+    g = Generator(np.array(rates))
+    for seed in range(3):
+        p = sample_mode_path(g, 1, 0.0, 200.0, make_stream(seed, 5))
+        ref_rng = make_stream(seed, 5)
+        times, modes = reference_mode_path(g, 1, 0.0, 200.0, ref_rng)
+        assert len(times) > 100
+        assert np.array_equal(p.jump_times, times)
+        assert np.array_equal(p.modes, modes)
+        # the stream is left in the same state
+        rng = make_stream(seed, 5)
+        sample_mode_path(g, 1, 0.0, 200.0, rng)
+        assert rng.random() == ref_rng.random()
