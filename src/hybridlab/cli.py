@@ -389,3 +389,7 @@ def suite(config_path, seed, out_dir, atom_cap, dt_per_rho):
         click.echo(f"suite failed: {first_fail}", err=True)
         sys.exit(1)
     sys.exit(0)
+
+
+if __name__ == "__main__":
+    main(prog_name="hybridlab")

@@ -15,13 +15,22 @@ class RowSumViolation(HybridLabError):
 
 
 class NonPositiveRate(HybridLabError):
-    """An off-diagonal transition rate is not strictly positive."""
+    """An off-diagonal transition rate is negative (or not a number)."""
 
-    def __init__(self, i, j, value):
+    def __init__(self, i, j, value, message=None):
         self.i = i
         self.j = j
         self.value = value
-        super().__init__(f"rate ({i},{j}) = {value} must be > 0")
+        super().__init__(message or f"rate ({i},{j}) = {value} must be >= 0")
+
+
+class Reducible(NonPositiveRate):
+    """The chain is reducible: mode j cannot be reached from mode i through
+    positive rates.  ``value`` is the rate (i, j), which is zero."""
+
+    def __init__(self, i, j, value):
+        super().__init__(i, j, value, f"mode {j} is not reachable from mode {i} through "
+                                      f"positive rates (rate ({i},{j}) = {value})")
 
 
 class SingularSystem(HybridLabError):

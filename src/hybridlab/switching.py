@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveRate, OutOfRange, RowSumViolation, SingularSystem
+from .errors import NonPositiveRate, OutOfRange, Reducible, RowSumViolation, SingularSystem
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -62,20 +62,46 @@ class ModePath:
         object.__setattr__(self, "modes", np.asarray(self.modes, dtype=np.int64))
 
 
+def _reached(adjacent):
+    """Modes reachable from mode 1 along the edges of a boolean adjacency matrix."""
+    seen = np.zeros(len(adjacent), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return seen
+
+
 def validate_generator(g):
-    """Raise unless the rate matrix is a valid irreducible-chain generator."""
+    """Raise unless the rate matrix is a valid irreducible-chain generator.
+
+    Off-diagonal rates must be >= 0 and each row must sum to zero within
+    ROW_SUM_TOL times its largest rate.  Zero rates are allowed as long as every
+    mode reaches every other one through positive rates (as in a cycle), which is
+    what the stationary law needs.
+    """
     rates = g.rates
     if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
         raise RowSumViolation(1, float("nan"))
     n = rates.shape[0]
     for i in range(n):
         for j in range(n):
-            if i != j and rates[i, j] <= 0.0:
+            if i != j and not rates[i, j] >= 0.0:
                 raise NonPositiveRate(i + 1, j + 1, rates[i, j])
     row_sums = rates.sum(axis=1)
     for i in range(n):
-        if abs(row_sums[i]) > ROW_SUM_TOL:
+        if not abs(row_sums[i]) <= ROW_SUM_TOL * np.max(np.abs(rates[i])):
             raise RowSumViolation(i + 1, row_sums[i])
+    positive = (rates > 0.0) & ~np.eye(n, dtype=bool)
+    forward = _reached(positive)  # modes that mode 1 reaches
+    if not forward.all():
+        j = int(np.argmin(forward))
+        raise Reducible(1, j + 1, rates[0, j])
+    backward = _reached(positive.T)  # modes that reach mode 1
+    if not backward.all():
+        i = int(np.argmin(backward))
+        raise Reducible(i + 1, 1, rates[i, 0])
 
 
 def stationary_distribution(g):

@@ -236,3 +236,20 @@ def test_cli_import_does_not_import_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_validate_reducible_generator_exit_2(tmp_path):
+    path = write_config(tmp_path, base_config(generator=[[-1.0, 1.0], [0.0, 0.0]]))
+    res = CliRunner().invoke(main, ["validate", "--config", path])
+    assert res.exit_code == 2
+    assert "not reachable" in res.output
+
+
+def test_python_m_cli_runs_main():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "hybridlab.cli", "--help"], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0
+    for command in ("validate", "simulate", "measure", "suite"):
+        assert command in out.stdout

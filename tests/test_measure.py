@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridlab import measure
 from hybridlab.errors import GridMismatch, ValidationError
 from hybridlab.measure import (EmpiricalMeasure, MetricSpec, bl_distance, ensemble_at,
                                h_distance, integrate_functional, kb_average, project_T,
@@ -124,6 +125,90 @@ def test_bl_space_mismatch():
 def test_bl_two_point_property(shift):
     got = bl_distance(point_measure([0.0]), point_measure([shift]), SPEC)
     assert got == pytest.approx(2 * shift / (2 + shift), abs=1e-7)
+
+
+def random_measure(rng, kind, n, shift=0.0):
+    modes = [int(j) for j in rng.integers(1, 4, size=n)]
+    if kind == "H":
+        vals = rng.normal(shift, 0.5, size=(n, 1, 2)) + np.cumsum(
+            rng.normal(0.0, 0.15, size=(n, 5, 2)), axis=1)
+        return EmpiricalMeasure.from_segments(
+            [SegmentGrid(rho=0.1, values=v, mode=j) for v, j in zip(vals, modes)])
+    return EmpiricalMeasure.from_state_points(
+        list(zip(rng.normal(shift, 0.5, size=(n, 2)), modes)))
+
+
+def bl_by_lp(monkeypatch, mu, nu, spec, **kwargs):
+    """bl_distance with the transport form switched off: the pooled-support LP."""
+    with monkeypatch.context() as m:
+        m.setattr(measure, "_bl_transport", lambda D: None)
+        return bl_distance(mu, nu, spec, **kwargs)
+
+
+def count_lp_calls(monkeypatch):
+    """Patch measure.linprog to record its calls; returns the list it appends to."""
+    calls = []
+    real = measure.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "linprog", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["H", "H0"])
+@pytest.mark.parametrize("mode_metric", ["label", "discrete"])
+def test_bl_transport_matches_lp(monkeypatch, kind, mode_metric):
+    spec = MetricSpec(mode_metric=mode_metric)
+    rng = make_stream(21, 0)
+    for n in [1, 2, 3, 7, 20, 60]:
+        mu = random_measure(rng, kind, n)
+        nu = random_measure(rng, kind, n, shift=float(rng.uniform(0.0, 1.0)))
+        assert bl_distance(mu, nu, spec) == pytest.approx(bl_by_lp(monkeypatch, mu, nu, spec),
+                                                          abs=1e-10)
+
+
+def test_bl_transport_matches_lp_after_subsampling(monkeypatch):
+    # 50 atoms drawn with replacement from 80: the subsampled measures repeat atoms
+    rng = make_stream(22, 0)
+    for kind in ["H", "H0"]:
+        mu, nu = random_measure(rng, kind, 80), random_measure(rng, kind, 80, shift=0.2)
+        got = bl_distance(mu, nu, SPEC, atom_cap=50)
+        assert got == pytest.approx(bl_by_lp(monkeypatch, mu, nu, SPEC, atom_cap=50), abs=1e-10)
+
+
+def test_bl_transport_identity_and_symmetry_exact():
+    rng = make_stream(23, 0)
+    for kind in ["H", "H0"]:
+        mu, nu = random_measure(rng, kind, 40), random_measure(rng, kind, 40, shift=0.3)
+        assert bl_distance(mu, mu, SPEC) == 0.0
+        assert bl_distance(mu, nu, SPEC) == bl_distance(nu, mu, SPEC)
+
+
+def test_bl_dispatch(monkeypatch):
+    rng = make_stream(24, 0)
+    calls = count_lp_calls(monkeypatch)
+    mu, nu = random_measure(rng, "H", 30), random_measure(rng, "H", 30, shift=0.3)
+    bl_distance(mu, nu, SPEC)
+    bl_distance(random_measure(rng, "H", 80), nu, SPEC, atom_cap=30)  # 80 atoms, subsampled
+    assert calls == []
+    bl_distance(mu, random_measure(rng, "H", 20), SPEC)  # unequal sizes
+    assert len(calls) == 1
+    w = np.arange(1.0, 31.0)
+    bl_distance(EmpiricalMeasure.from_segments(mu.points, weights=w / w.sum()), nu, SPEC)
+    assert len(calls) == 2  # non-uniform weights
+
+
+def test_bl_transport_falls_back_to_lp_at_cut_cap(monkeypatch):
+    rng = make_stream(25, 0)
+    mu, nu = random_measure(rng, "H0", 30), random_measure(rng, "H0", 30, shift=0.3)
+    want = bl_distance(mu, nu, SPEC)
+    calls = count_lp_calls(monkeypatch)
+    monkeypatch.setattr(measure, "BL_MAX_CUTS", 1)
+    assert bl_distance(mu, nu, SPEC) == pytest.approx(want, abs=1e-10)
+    assert len(calls) == 1
 
 
 # --- ensembles and averaging ---

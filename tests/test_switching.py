@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridlab.errors import NonPositiveRate, OutOfRange, RowSumViolation
+from hybridlab.errors import NonPositiveRate, OutOfRange, Reducible, RowSumViolation
 from hybridlab.switching import (Generator, ModePath, make_stream, mode_at, modes_on_grid,
                                  occupation_fractions, path_streams, sample_mode_path,
                                  stationary_distribution, validate_generator)
@@ -26,6 +26,35 @@ def test_validate_rejects_zero_rate():
     with pytest.raises(NonPositiveRate) as exc:
         validate_generator(Generator(np.array([[-1.0, 1.0], [0.0, 0.0]])))
     assert (exc.value.i, exc.value.j) == (2, 1)
+
+
+def test_sparse_cycle_generator_validates():
+    g = Generator(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]))
+    validate_generator(g)
+    assert np.allclose(stationary_distribution(g), [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+
+
+@pytest.mark.parametrize("rates, pair", [
+    ([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]], (1, 3)),  # mode 3 never entered
+    ([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]], (2, 1)),  # mode 1 never re-entered
+])
+def test_validate_rejects_reducible(rates, pair):
+    with pytest.raises(Reducible) as exc:
+        validate_generator(Generator(np.array(rates)))
+    assert (exc.value.i, exc.value.j) == pair
+
+
+def test_validate_rejects_negative_rate():
+    with pytest.raises(NonPositiveRate) as exc:
+        validate_generator(Generator(np.array([[1.0, -1.0], [2.0, -2.0]])))
+    assert (exc.value.i, exc.value.j) == (1, 2)
+
+
+def test_row_sum_tolerance_relative_to_rates():
+    big = 1e6
+    validate_generator(Generator(np.array([[-big, big + 1e-7], [big, -big]])))
+    with pytest.raises(RowSumViolation):
+        validate_generator(Generator(np.array([[-1.0, 1.0 + 1e-7], [1.0, -1.0]])))
 
 
 def test_stationary_two_state():
