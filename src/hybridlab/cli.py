@@ -145,6 +145,13 @@ def parse_config(path):
     _check_grid_alignment(model, sim, times, ladder)
 
     init_raw = raw.get("initial", {})
+    initial_mode = int(init_raw.get("mode", 1))
+    _require(1 <= initial_mode <= gen.n_states, "initial.mode",
+             f"must lie in 1..{gen.n_states}, the modes of the generator")
+    suites = tuple(raw.get("suites", ["stability"]))
+    for name in suites:
+        _require(name in SUITES, "suites", f"unknown suite {name!r}")
+
     provenance = {
         "version": __version__,
         "seed": sim.seed,
@@ -167,8 +174,8 @@ def parse_config(path):
             rho_ladder=ladder,
             tolerances=tol,
             initial_values=tuple(init_raw.get("values", [0.0, 1.0])),
-            initial_mode=int(init_raw.get("mode", 1)),
-            suites=tuple(raw.get("suites", ["stability"])),
+            initial_mode=initial_mode,
+            suites=suites,
             expected_negative=bool(raw.get("expected_negative", False)),
             output_dir=raw.get("output_dir", "out"),
             provenance=provenance,
@@ -341,9 +348,6 @@ def suite(config_path, seed, out_dir, atom_cap, dt_per_rho):
     try:
         cfg = parse_config(config_path)
         cfg = _apply_overrides(cfg, seed, dt_per_rho, atom_cap)
-        for name in cfg.suites:
-            if name not in SUITES:
-                raise ValidationError(f"suites: unknown suite {name!r}")
     except ConfigError as exc:
         click.echo(f"{type(exc).__name__}: {exc}", err=True)
         sys.exit(2)

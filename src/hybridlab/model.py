@@ -185,11 +185,47 @@ def build_delay_free_model(spec, g):
     )
 
 
-def _eval_coeff(fn, t, j, x, y, shape):
-    v = np.asarray(fn(t, j, x, y), dtype=float).reshape(shape)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteCoefficient(f"non-finite coefficient at t={t}, j={j}, x={x}, y={y}")
-    return v
+def _eval_probes(fn, t, modes, x, y, shape):
+    """fn at every probe (t[i], modes[i], x[i], y[i]) as a (P,) + shape array.
+
+    The probes are evaluated to the batched contract, one call per mode
+    with t a (P_j, 1) column and x, y of shape (P_j, n).  A result with
+    another number of entries (a constant, say) is broadcast.
+    """
+    out = np.empty((len(modes),) + shape)
+    for j in np.unique(modes):
+        sel = modes == j
+        rows = (int(sel.sum()),) + shape
+        v = np.asarray(fn(t[sel], int(j), x[sel], y[sel]), dtype=float)
+        out[sel] = v.reshape(rows) if v.size == np.prod(rows) else np.broadcast_to(v, rows)
+    bad = ~np.isfinite(out.reshape(len(modes), -1)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteCoefficient(
+            f"non-finite coefficient at t={t[i, 0]}, j={modes[i]}, x={x[i]}, y={y[i]}")
+    return out
+
+
+def _probe_gap(fn, t, modes, a, b, shape):
+    """fn(t, j, *a) - fn(t, j, *b) at every probe, for (x, y) pairs a and b."""
+    return _eval_probes(fn, t, modes, *a, shape) - _eval_probes(fn, t, modes, *b, shape)
+
+
+def _draw_probes(rng, probe_count, t_span, n_modes, points, n, box_radius):
+    """Per probe, in this order: t, mode, then ``points`` vectors in the box."""
+    t = np.empty((probe_count, 1))
+    modes = np.empty(probe_count, dtype=int)
+    pts = np.empty((points, probe_count, n))
+    for i in range(probe_count):
+        t[i] = rng.uniform(-t_span, t_span)
+        modes[i] = rng.integers(1, n_modes + 1)
+        for k in range(points):
+            pts[k, i] = rng.uniform(-box_radius, box_radius, size=n)
+    return t, modes, pts
+
+
+def _row_norms(v):
+    return np.linalg.norm(v.reshape(len(v), -1), axis=1)
 
 
 def check_lipschitz_sampled(m, probe_count, box_radius, rng, t_span=10.0):
@@ -201,43 +237,33 @@ def check_lipschitz_sampled(m, probe_count, box_radius, rng, t_span=10.0):
     if probe_count < 100:
         raise ValidationError("probe_count must be at least 100")
     n, mm = m.dim, m.noise_dim
-    nmodes = m.generator.n_states
-    best_f = 0.0
-    best_g = 0.0
-    for _ in range(probe_count):
-        t = rng.uniform(-t_span, t_span)
-        j = int(rng.integers(1, nmodes + 1))
-        x1, x2, y1, y2 = (rng.uniform(-box_radius, box_radius, size=n) for _ in range(4))
-        denom = np.linalg.norm(x1 - x2) + np.linalg.norm(y1 - y2)
-        if denom < 1e-12:
-            continue
-        df = _eval_coeff(m.drift, t, j, x1, y1, (n,)) - _eval_coeff(m.drift, t, j, x2, y2, (n,))
-        dg = _eval_coeff(m.diffusion, t, j, x1, y1, (n, mm)) - _eval_coeff(
-            m.diffusion, t, j, x2, y2, (n, mm))
-        best_f = max(best_f, np.linalg.norm(df) / denom)
-        best_g = max(best_g, np.linalg.norm(dg) / denom)
+    t, modes, (x1, x2, y1, y2) = _draw_probes(rng, probe_count, t_span, m.generator.n_states,
+                                              4, n, box_radius)
+    denom = _row_norms(x1 - x2) + _row_norms(y1 - y2)
+    keep = denom >= 1e-12
+    if not keep.any():
+        return 0.0, 0.0
+    t, modes, x1, x2, y1, y2, denom = (a[keep] for a in (t, modes, x1, x2, y1, y2, denom))
+    df = _probe_gap(m.drift, t, modes, (x1, y1), (x2, y2), (n,))
+    dg = _probe_gap(m.diffusion, t, modes, (x1, y1), (x2, y2), (n, mm))
+    best_f = max(0.0, float(np.max(_row_norms(df) / denom)))
+    best_g = max(0.0, float(np.max(_row_norms(dg) / denom)))
     return best_f, best_g
 
 
 def check_bounded_at_zero(m, t_grid):
     """Per-mode sup over the grid of |f(t,j,0,0)| and |g(t,j,0,0)|."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     if t_grid.size == 0:
         raise ValidationError("t_grid must be nonempty")
-    zero = np.zeros(m.dim)
-    out = {}
-    for j in range(1, m.generator.n_states + 1):
-        sup_f = 0.0
-        sup_g = 0.0
-        for t in t_grid:
-            sup_f = max(sup_f, np.linalg.norm(_eval_coeff(m.drift, t, j, zero, zero, (m.dim,))))
-            sup_g = max(
-                sup_g,
-                np.linalg.norm(
-                    _eval_coeff(m.diffusion, t, j, zero, zero, (m.dim, m.noise_dim))),
-            )
-        out[j] = (sup_f, sup_g)
-    return out
+    n_modes = m.generator.n_states
+    t = np.tile(t_grid, n_modes)[:, None]
+    modes = np.repeat(np.arange(1, n_modes + 1), t_grid.size)
+    zero = np.zeros((len(modes), m.dim))
+    sup_f, sup_g = (_row_norms(_eval_probes(fn, t, modes, zero, zero, shape))
+                    .reshape(n_modes, -1).max(axis=1)
+                    for fn, shape in ((m.drift, (m.dim,)), (m.diffusion, (m.dim, m.noise_dim))))
+    return {j: (float(sup_f[j - 1]), float(sup_g[j - 1])) for j in range(1, n_modes + 1)}
 
 
 def _check_spd(Q):
@@ -298,25 +324,22 @@ def check_dissipativity_sampled(m, Q, probe_count, box_radius, rng, t_span=10.0)
     _check_spd(Q)
     n, mm = m.dim, m.noise_dim
     rates = m.generator.rates
-    n_modes = rates.shape[0]
-    best = np.inf
-    for _ in range(probe_count):
-        t = rng.uniform(-t_span, t_span)
-        j = int(rng.integers(1, n_modes + 1))
-        x = rng.uniform(-box_radius, box_radius, size=n)
-        y = rng.uniform(-box_radius, box_radius, size=n)
-        z = x - y
-        zz = float(z @ z)
-        if zz < 1e-24:
-            continue
-        df = _eval_coeff(m.drift, t, j, x, x, (n,)) - _eval_coeff(m.drift, t, j, y, y, (n,))
-        dg = _eval_coeff(m.diffusion, t, j, x, x, (n, mm)) - _eval_coeff(
-            m.diffusion, t, j, y, y, (n, mm))
-        lhs = 2.0 * float(z @ Q[j - 1] @ df) + float(np.trace(dg.T @ Q[j - 1] @ dg))
-        for i in range(n_modes):
-            lhs += rates[j - 1, i] * float(z @ Q[i] @ z)
-        best = min(best, -lhs / zz)
-    return best
+    t, modes, (x, y) = _draw_probes(rng, probe_count, t_span, rates.shape[0], 2, n, box_radius)
+    z = x - y
+    zz = np.sum(z * z, axis=1)
+    keep = zz >= 1e-24
+    if not keep.any():
+        return np.inf
+    t, modes, x, y, z, zz = (a[keep] for a in (t, modes, x, y, z, zz))
+    df = _probe_gap(m.drift, t, modes, (x, x), (y, y), (n,))
+    dg = _probe_gap(m.diffusion, t, modes, (x, x), (y, y), (n, mm))
+    Qj = np.stack(Q)[modes - 1]
+    zQ = np.matmul(z[:, None, :], Qj)[:, 0]
+    lhs = 2.0 * np.sum(zQ * df, axis=1)
+    lhs = lhs + np.trace(np.swapaxes(dg, 1, 2) @ Qj @ dg, axis1=1, axis2=2)
+    for i, q in enumerate(Q):
+        lhs += rates[modes - 1, i] * np.sum((z @ q) * z, axis=1)
+    return float(np.min(-lhs / zz))
 
 
 def _cubic_drift(t, j, x, y):

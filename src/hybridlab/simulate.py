@@ -7,10 +7,12 @@ left endpoint, so no interval straddles a jump.  Delayed state reads use
 linear interpolation in the path's stored history, with exact hits
 snapped to stored grid values.
 
-One engine advances every path of an ensemble together on the shared
-base grid.  Within a base step it runs as many sub-step slots as the
-busiest path has jumps in that step; a path with fewer jumps sits the
-extra slots out and its state is left untouched.  In each slot the
+``integrate_paths`` is the one entry point: it runs a list of
+(start, initial value, path index) jobs, and ``integrate`` is its P = 1
+case.  One engine advances the jobs' paths together on the shared base
+grid.  Within a base step it runs as many sub-step slots as the busiest
+path has jumps in that step; a path with fewer jumps sits the extra
+slots out and its state is left untouched.  In each slot the
 coefficients are called once per mode on the batch of paths in that
 mode, so the model contract is batched: drift(t, j, x, y) -> (P, n) and
 diffusion(t, j, x, y) -> (P, n, m) for x, y of shape (P, n) and t a
@@ -19,9 +21,14 @@ diffusion(t, j, x, y) -> (P, n, m) for x, y of shape (P, n) and t a
 All randomness comes from counter-based streams keyed by
 (seed, path_index), and each path draws its mode path and its Wiener
 increments on its own mesh in the same order whether it runs alone or in
-an ensemble, so ensembles are reproducible and order-independent.
+an ensemble, so ensembles are reproducible and order-independent.  Jobs
+with the same (start, path index) share one draw and so see the same
+noise: a pair of paths from two initial values under common noise is the
+jobs [(s, xi1, p), (s, xi2, p)], and a coupled run of two models is the
+same jobs passed to ``integrate_paths`` once per model.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -374,13 +381,12 @@ class _Batch:
 
 
 def integrate(m, s, xi, j0, t_end, cfg):
-    """Integrate one path of the model from (s, xi, j0) to t_end.
+    """Integrate one path (``cfg.path_index``) of the model from (s, xi, j0) to t_end.
 
     xi is either a SegmentGrid on [-rho, 0] or a constant initial value
     (replicated over the history window).
     """
-    d = _draw(m, s, t_end, j0, cfg, cfg.path_index)
-    return _Batch(m, cfg, [d], [xi], [cfg.path_index]).trajectory(0, s)
+    return next(integrate_paths(m, [(s, xi, cfg.path_index)], j0, t_end, cfg))
 
 
 def integrate_paths(m, jobs, j0, t_end, cfg):
@@ -388,13 +394,25 @@ def integrate_paths(m, jobs, j0, t_end, cfg):
 
     The paths run in lockstep, each from its own start time; a long
     ensemble runs in consecutive chunks of paths so that memory stays
-    bounded.  A path that leaves the blow-up guard raises the error the
-    first such path in ``jobs`` order would raise on its own.
+    bounded.  Each distinct (s, path_index) is drawn once and its draw is
+    kept only until its last job, so jobs that share it see the same mode
+    path and Wiener increments.  A path that leaves the blow-up guard
+    raises the error the first such path in ``jobs`` order would raise on
+    its own.
     """
+    jobs = list(jobs)
+    uses = Counter((s, path_index) for s, _, path_index in jobs)
+    shared = {}
     pending = []
     rows = 0
     for s, xi, path_index in jobs:
-        d = _draw(m, s, t_end, j0, cfg, path_index)
+        key = (s, path_index)
+        d = shared.pop(key, None)
+        if d is None:
+            d = _draw(m, s, t_end, j0, cfg, path_index)
+        uses[key] -= 1
+        if uses[key]:
+            shared[key] = d
         pending.append((s, xi, path_index, d))
         rows += len(d.deltas)
         if rows >= ROW_BUDGET:
@@ -433,33 +451,6 @@ def segment_at(tr, t):
     nxt = np.minimum(idx + 1, len(tr.times) - 1)
     vals = (1.0 - w)[:, None] * tr.states[idx] + w[:, None] * tr.states[nxt]
     return SegmentGrid(rho=rho, values=vals, mode=mode_at(tr.mode_path, t))
-
-
-def integrate_pair(m, s, xi1, xi2, j0, t_end, cfg):
-    """Two paths from different initial segments driven by identical noise."""
-    d = _draw(m, s, t_end, j0, cfg, cfg.path_index)
-    batch = _Batch(m, cfg, [d, d], [xi1, xi2], [cfg.path_index] * 2)
-    return batch.trajectory(0, s), batch.trajectory(1, s)
-
-
-def integrate_coupled_delay_limit(spec, g, s, xi, j0, t_end, cfg, models=None):
-    """Sampled-feedback path and its zero-delay companion under shared noise.
-
-    The companion starts from xi(0) and uses the continuous-observation
-    drift; both paths see the same mode path and Wiener increments on the
-    same mesh, so endpoint differences isolate the observation-interval
-    effect.  Pass ``models`` to reuse prebuilt model pairs across paths.
-    """
-    from .model import build_controlled_model, build_delay_free_model
-
-    if models is None:
-        models = (build_controlled_model(spec, g), build_delay_free_model(spec, g))
-    m_rho, m_zero = models
-    d = _draw(m_rho, s, t_end, j0, cfg, cfg.path_index)
-    tr_rho = _Batch(m_rho, cfg, [d], [xi], [cfg.path_index]).trajectory(0, s)
-    x0 = xi.endpoint if isinstance(xi, SegmentGrid) else np.asarray(xi, dtype=float)
-    tr_zero = _Batch(m_zero, cfg, [d], [x0], [cfg.path_index]).trajectory(0, s)
-    return tr_rho, tr_zero
 
 
 def integrate_ensemble(m, s, xi, j0, t_end, cfg, n_paths):

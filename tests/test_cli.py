@@ -253,3 +253,28 @@ def test_python_m_cli_runs_main():
     assert out.returncode == 0
     for command in ("validate", "simulate", "measure", "suite"):
         assert command in out.stdout
+
+
+@pytest.mark.parametrize("command", ["validate", "suite", "simulate", "measure"])
+@pytest.mark.parametrize("override", [{"initial": {"mode": 3}}, {"initial": {"mode": 0}},
+                                      {"suites": ["stabilty"]}],
+                         ids=["mode_above_range", "mode_zero", "unknown_suite"])
+def test_config_error_exits_2_at_parse(tmp_path, command, override):
+    path = write_config(tmp_path, base_config(**override))
+    args = [command, "--config", path]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert "ValidationError" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_endpoint_convergence_blowup_exit_3(tmp_path):
+    raw = base_config(suites=["endpoint_convergence"])
+    raw["model"]["gains"] = [[[0.5]], [[0.5]]]
+    raw["sim"]["blowup_guard"] = 4.0
+    res = CliRunner().invoke(main, ["suite", "--config", write_config(tmp_path, raw),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 3
+    assert "Blowup in suite endpoint_convergence" in res.output

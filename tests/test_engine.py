@@ -9,8 +9,8 @@ from hybridlab.errors import Blowup
 from hybridlab.experiments import (ModelConfig, certified_scalar_model, two_state_generator,
                                    uncontrolled_scalar_model)
 from hybridlab.measure import ensemble_at, kb_average
-from hybridlab.simulate import (SimConfig, integrate, integrate_pair, integrate_paths,
-                                segment_at)
+from hybridlab import simulate
+from hybridlab.simulate import SimConfig, integrate, integrate_paths, segment_at
 from hybridlab.switching import Generator
 
 SCALAR = certified_scalar_model().build_primary(two_state_generator())
@@ -83,15 +83,37 @@ def test_masked_substeps_leave_state_unchanged():
 def test_pair_identical_initial_data_identical_paths():
     for m in (SCALAR, PLANAR):
         x0 = np.ones(m.dim)
-        tr1, tr2 = integrate_pair(m, 0.0, x0, x0.copy(), 1, 2.0, replace(CFG, path_index=5))
+        tr1, tr2 = integrate_paths(m, [(0.0, x0, 5), (0.0, x0.copy(), 5)], 1, 2.0, CFG)
         assert np.array_equal(tr1.states, tr2.states)
 
 
 def test_pair_first_path_matches_integrate():
     cfg = replace(CFG, path_index=3)
-    tr1, _ = integrate_pair(SCALAR, 0.0, np.array([1.0]), np.array([0.0]), 1, 2.0, cfg)
+    jobs = [(0.0, np.array([1.0]), 3), (0.0, np.array([0.0]), 3)]
+    tr1, _ = integrate_paths(SCALAR, jobs, 1, 2.0, CFG)
     alone = integrate(SCALAR, 0.0, np.array([1.0]), 1, 2.0, cfg)
     assert np.array_equal(tr1.states, alone.states)
+
+
+def test_repeated_jobs_share_one_draw(monkeypatch):
+    calls = []
+    draw = simulate._draw
+
+    def counting(model, s, t_end, j0, cfg, path_index):
+        calls.append((s, path_index))
+        return draw(model, s, t_end, j0, cfg, path_index)
+
+    a, b = np.array([1.0]), np.array([0.0])
+    jobs = [(0.0, a, 0), (0.0, b, 0), (0.0, a, 1), (-0.4, a, 0), (0.0, b, 1), (-0.4, b, 0),
+            (0.0, a, 0)]
+    monkeypatch.setattr(simulate, "_draw", counting)
+    together = list(integrate_paths(SCALAR, jobs, 1, 2.0, CFG))
+    assert sorted(calls) == [(-0.4, 0), (0.0, 0), (0.0, 1)]
+    monkeypatch.undo()
+    for tr, ref in zip(together, one_by_one(SCALAR, jobs, 1, 2.0, CFG)):
+        assert np.array_equal(tr.times, ref.times)
+        assert np.array_equal(tr.states, ref.states)
+        assert np.array_equal(tr.mode_path.jump_times, ref.mode_path.jump_times)
 
 
 def test_segments_match_single_paths():
@@ -141,10 +163,11 @@ def test_kb_average_blowup_is_first_path_in_order():
 
 def test_pair_blowup_reports_first_initial_datum():
     cfg = replace(GUARDED, path_index=2)
+    small_then_big = [(0.0, np.array([1.0]), 2), (0.0, np.array([3.0]), 2)]
     with pytest.raises(Blowup) as small_first:
-        integrate_pair(UNSTABLE, 0.0, np.array([1.0]), np.array([3.0]), 1, 6.0, cfg)
+        list(integrate_paths(UNSTABLE, small_then_big, 1, 6.0, GUARDED))
     with pytest.raises(Blowup) as big_first:
-        integrate_pair(UNSTABLE, 0.0, np.array([3.0]), np.array([1.0]), 1, 6.0, cfg)
+        list(integrate_paths(UNSTABLE, small_then_big[::-1], 1, 6.0, GUARDED))
     with pytest.raises(Blowup) as small:
         integrate(UNSTABLE, 0.0, np.array([1.0]), 1, 6.0, cfg)
     with pytest.raises(Blowup) as big:

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from hybridlab.errors import RowSumViolation, ValidationError
-from hybridlab.experiments import (ExperimentReport, ModelConfig, ReportRow, SUITES,
-                                   SampleSizes, ScenarioConfig, SimSettings, TimeSettings,
-                                   ToleranceSettings, certified_scalar_model,
+from hybridlab.errors import Blowup, RowSumViolation, ValidationError
+from hybridlab.experiments import (SEED_LADDER, SEED_PAIR, ExperimentReport, ModelConfig,
+                                   ReportRow, SUITES, SampleSizes, ScenarioConfig, SimSettings,
+                                   TimeSettings, ToleranceSettings, certified_scalar_model,
                                    run_delay_limit, run_endpoint_convergence,
                                    run_existence, run_periodicity, run_stability,
                                    two_state_generator, uncontrolled_scalar_model)
+from hybridlab.measure import restrict
+from hybridlab.model import build_controlled_model, build_delay_free_model
+from hybridlab.simulate import SegmentGrid, integrate, segment_at
 from hybridlab.switching import Generator
 
 ONE_MODE = Generator(np.array([[0.0]]))
@@ -172,3 +175,92 @@ def test_reports_reproducible():
     r1 = run_stability(smoke_cfg())
     r2 = run_stability(smoke_cfg())
     assert [(r.name, r.value) for r in r1.rows] == [(r.name, r.value) for r in r2.rows]
+
+
+def scaled_certified_cfg(**kw):
+    """The certified scalar scenario at the benchmark's scale (32 paths, t_burn 3)."""
+    defaults = dict(samples=SampleSizes(paths=32, starts=4, paths_per_start=8),
+                    times=TimeSettings(t_burn=3.0, horizon=3.0, time_ladder=(1.0, 2.0, 3.0),
+                                       lookbacks=(1, 2, 4)),
+                    rho_ladder=(0.4, 0.2, 0.1, 0.05),
+                    tolerances=ToleranceSettings(eta=(0.03, 0.1)),
+                    sim=SimSettings(seed=20240613))
+    defaults.update(kw)
+    return smoke_cfg(**defaults)
+
+
+def coupled_rung(cfg, ri):
+    """One rung's models, settings and restricted initial values, built as the suite does."""
+    rho = cfg.rho_ladder[ri]
+    spec = cfg.model.controlled_spec(rho=rho)
+    sim = cfg.sim_cfg(rho, cfg.sim.seed + SEED_LADDER + ri)
+    xis = [restrict(SegmentGrid(rho=1.0, values=np.full((21, cfg.model.dim), v)), rho,
+                    num_points=cfg.sim.steps_per_rho + 1) for v in cfg.initial_values]
+    return (build_controlled_model(spec, cfg.generator),
+            build_delay_free_model(spec, cfg.generator), sim, xis)
+
+
+def run_one(m, xi, cfg, sim, p):
+    s = cfg.times.s
+    return integrate(m, s, xi, cfg.initial_mode, s + cfg.times.pair_horizon,
+                     replace(sim, path_index=p))
+
+
+def first_blowup(m, xis, cfg, sim):
+    for xi in xis:
+        for p in range(cfg.samples.paths):
+            try:
+                run_one(m, xi, cfg, sim, p)
+            except Blowup as exc:
+                return exc
+    return None
+
+
+def test_endpoint_convergence_matches_per_path_loop():
+    cfg = scaled_certified_cfg()
+    rows = {r.name: r.value for r in run_endpoint_convergence(cfg).rows}
+    for ri, rho in enumerate(cfg.rho_ladder):
+        m_rho, m_zero, sim, xis = coupled_rung(cfg, ri)
+        worst = dict.fromkeys(cfg.tolerances.eta, 0.0)
+        for xi in xis:
+            gaps = np.array([np.linalg.norm(run_one(m_rho, xi, cfg, sim, p).states[-1]
+                                            - run_one(m_zero, xi.endpoint, cfg, sim, p).states[-1])
+                             for p in range(cfg.samples.paths)])
+            for eta in worst:
+                worst[eta] = max(worst[eta], float(np.mean(gaps >= eta)))
+        for eta, w in worst.items():
+            assert rows[f"exceedance_rho{rho:g}_eta{eta:g}"] == w
+    assert 0.0 < rows["exceedance_rho0.2_eta0.03"] < 1.0  # the rows are not all 0 or 1
+
+
+def test_stability_pathwise_rows_match_per_path_loop():
+    cfg = scaled_certified_cfg()
+    rows = {r.name: r.value for r in run_stability(cfg).rows}
+    model = cfg.model.build_primary(cfg.generator)
+    ladder = cfg.times.time_ladder
+    sim = cfg.sim_cfg(model.delay.rho, cfg.sim.seed + SEED_PAIR)
+    sups = {t: [] for t in ladder}
+    for p in range(min(cfg.samples.paths, 64)):
+        tr1, tr2 = (integrate(model, cfg.times.s, np.full(1, v), cfg.initial_mode, ladder[-1],
+                              replace(sim, path_index=p))
+                    for v in (cfg.initial_values[0], cfg.initial_values[-1]))
+        for t in ladder:
+            gap = segment_at(tr1, t).values - segment_at(tr2, t).values
+            sups[t].append(float(np.max(np.linalg.norm(gap, axis=1))))
+    for t in ladder:
+        assert rows[f"pathwise_mean_sup_gap_t{t:g}"] == float(np.mean(sups[t]))
+
+
+def test_endpoint_convergence_blowup_is_first_sampled_feedback_path():
+    # destabilising feedback: both models leave the guard on the first rung
+    model = replace(certified_scalar_model(), gain_mats=(np.array([[0.5]]),) * 2)
+    cfg = scaled_certified_cfg(model=model, sim=SimSettings(seed=1, blowup_guard=16.0))
+    m_rho, m_zero, sim, xis = coupled_rung(cfg, 0)
+    want = first_blowup(m_rho, xis, cfg, sim)
+    companion = first_blowup(m_zero, [xi.endpoint for xi in xis], cfg, sim)
+    # a path-by-path loop over (m_rho, m_zero) pairs would report the companion
+    assert companion.path_index < want.path_index
+    with pytest.raises(Blowup) as exc:
+        run_endpoint_convergence(cfg)
+    assert (exc.value.t, exc.value.path_index, exc.value.magnitude) == (
+        want.t, want.path_index, want.magnitude)

@@ -155,6 +155,42 @@ def test_bounded_at_zero_flags_growth():
     assert large > 50 * small
 
 
+def test_checkers_take_batched_coefficients():
+    # the same planar coefficients written by column index, as the batched
+    # contract allows, and as matrix products that also take a single point
+    A = np.array([[-1.0, 0.0], [0.3, -2.0]])
+    B = np.array([[0.0, 0.5], [0.0, 0.0]])
+
+    def by_column(t, j, x, y):
+        return np.stack([-x[:, 0] + 0.5 * y[:, 1] + np.sin(t[:, 0]),
+                         0.3 * x[:, 0] - 2.0 * x[:, 1]], axis=1)
+
+    def by_matrix(t, j, x, y):
+        return x @ A.T + y @ B.T + np.sin(t) * np.array([1.0, 0.0])
+
+    def diffusion(t, j, x, y):
+        return 0.2 * np.asarray(x)[..., None]
+
+    g = two_state()
+    results = []
+    grid = np.linspace(-3, 3, 61)
+    for drift in (by_column, by_matrix):
+        m = registry_model("ou", g)
+        m = type(m)(dim=2, noise_dim=1, drift=drift, diffusion=diffusion,
+                    delay=m.delay, generator=g)
+        results.append((check_lipschitz_sampled(m, 500, 2.0, make_stream(7, 0)),
+                        check_bounded_at_zero(m, grid),
+                        check_dissipativity_sampled(m, [np.eye(2)] * 2, 500, 2.0,
+                                                    make_stream(8, 0))))
+    (lip_c, zero_c, diss_c), (lip_m, zero_m, diss_m) = results
+    assert np.allclose(lip_c, lip_m, rtol=1e-12)
+    assert zero_c.keys() == zero_m.keys()
+    for j in zero_c:
+        assert np.allclose(zero_c[j], zero_m[j], rtol=1e-12)
+        assert zero_c[j][0] == pytest.approx(np.max(np.abs(np.sin(grid))), abs=1e-12)
+    assert diss_c == pytest.approx(diss_m, rel=1e-12)
+
+
 # --- dissipativity ---
 
 def test_certificate_single_mode():

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from hybridlab.errors import Blowup, GridMismatch, OutOfRange, ValidationError
 from hybridlab.model import (ControlledModelSpec, DelaySpec, HybridDelayModel,
-                             build_controlled_model, registry_model)
+                             build_controlled_model, build_delay_free_model, registry_model)
 from hybridlab.simulate import (SegmentGrid, SimConfig, Trajectory, integrate,
-                                integrate_coupled_delay_limit, integrate_ensemble,
-                                integrate_pair, segment_at)
+                                integrate_ensemble, integrate_paths, segment_at)
 from hybridlab.switching import Generator
 
 ONE_MODE = Generator(np.array([[0.0]]))
@@ -136,24 +135,25 @@ def test_segment_at_requires_delay():
 def test_pair_identical_initials_bitwise():
     m = build_controlled_model(scalar_spec(), TWO_MODE)
     cfg = SimConfig.for_rho(0.1, 4, seed=9)
-    tr1, tr2 = integrate_pair(m, 0.0, np.array([1.0]), np.array([1.0]), 1, 2.0, cfg)
+    jobs = [(0.0, np.array([1.0]), 0), (0.0, np.array([1.0]), 0)]
+    tr1, tr2 = integrate_paths(m, jobs, 1, 2.0, cfg)
     assert np.array_equal(tr1.states, tr2.states)
 
 
 def test_pair_contracts_on_certified_model():
     m = build_controlled_model(scalar_spec(), TWO_MODE)
-    gaps = []
-    for p in range(16):
-        cfg = SimConfig.for_rho(0.1, 4, seed=21, path_index=p)
-        tr1, tr2 = integrate_pair(m, 0.0, np.array([0.0]), np.array([1.0]), 1, 10.0, cfg)
-        gaps.append(abs(tr1.states[-1, 0] - tr2.states[-1, 0]))
+    cfg = SimConfig.for_rho(0.1, 4, seed=21)
+    jobs = [(0.0, np.array([x0]), p) for p in range(16) for x0 in (0.0, 1.0)]
+    trs = list(integrate_paths(m, jobs, 1, 10.0, cfg))
+    gaps = [abs(tr1.states[-1, 0] - tr2.states[-1, 0]) for tr1, tr2 in zip(trs[::2], trs[1::2])]
     assert np.mean(gaps) < 0.05
 
 
 def test_pair_diverges_without_control():
     m = build_controlled_model(scalar_spec(gain=0.0), TWO_MODE)
     cfg = SimConfig.for_rho(0.1, 4, seed=22)
-    tr1, tr2 = integrate_pair(m, 0.0, np.array([0.0]), np.array([1.0]), 1, 5.0, cfg)
+    jobs = [(0.0, np.array([0.0]), 0), (0.0, np.array([1.0]), 0)]
+    tr1, tr2 = integrate_paths(m, jobs, 1, 5.0, cfg)
     gap = abs(tr1.states[-1, 0] - tr2.states[-1, 0])
     # coupled difference solves u' = u: e^5 ~ 148 up to discretization
     assert gap > 50.0
@@ -162,8 +162,9 @@ def test_pair_diverges_without_control():
 def test_coupled_zero_gain_paths_coincide():
     spec = scalar_spec(gain=0.0)
     cfg = SimConfig.for_rho(0.1, 4, seed=31)
-    tr_r, tr_0 = integrate_coupled_delay_limit(spec, TWO_MODE, 0.0, np.array([1.0]),
-                                               1, 2.0, cfg)
+    jobs = [(0.0, np.array([1.0]), 0)]
+    (tr_r,) = integrate_paths(build_controlled_model(spec, TWO_MODE), jobs, 1, 2.0, cfg)
+    (tr_0,) = integrate_paths(build_delay_free_model(spec, TWO_MODE), jobs, 1, 2.0, cfg)
     # with A = 0 both drifts equal h, so shared noise gives identical paths
     assert abs(tr_r.states[-1, 0] - tr_0.states[-1, 0]) < 1e-12
 
