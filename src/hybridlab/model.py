@@ -27,9 +27,11 @@ def sawtooth_delay(t, rho):
     """Elapsed time since the last observation instant: t - floor(t/rho)*rho.
 
     Uses floor (not truncation), so negative t is handled correctly.
-    Accepts a scalar or an array of times.
+    Accepts a scalar or an array of times.  When t/rho rounds up onto an
+    integer (t=1.9, rho=0.01) the difference is a rounding-sized negative;
+    it is clamped to 0 so the delayed read never lies after t.
     """
-    return t - np.floor(t / rho) * rho
+    return np.maximum(t - np.floor(t / rho) * rho, 0.0)
 
 
 @dataclass(frozen=True)
