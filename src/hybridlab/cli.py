@@ -1,17 +1,20 @@
 """Command-line front end: parse scenario configs, dispatch suites, write outputs.
 
-Exit codes: 0 pass, 1 suite failure, 2 config error, 3 runtime/numerics error.
+Exit codes: 0 pass, 1 suite failure, 2 config error, 3 runtime/numerics error
+or any other failure (``exit_code``).
 Outputs are written atomically (temp file + rename); CSV is RFC-4180 with
 '.' decimals, and verdict.json carries the sampling provenance.  The only
 non-reproducible field across reruns is the verdict timestamp.
 """
 
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
@@ -23,6 +26,7 @@ from .errors import Blowup, ConfigError, HybridLabError, ParseError, ValidationE
 from .experiments import (ModelConfig, SampleSizes, ScenarioConfig, SimSettings, SUITES,
                           TimeSettings, ToleranceSettings)
 from .measure import MetricSpec, ensemble_at
+from .model import COEFFICIENT_REGISTRY
 from .simulate import integrate
 from .switching import Generator, modes_on_grid, validate_generator
 
@@ -40,6 +44,9 @@ def _model_config(raw):
     noise_dim = int(raw.get("noise_dim", 1))
     if kind == "registry":
         _require("name" in raw, "model.name", "registry models need a coefficient name")
+        _require(raw["name"] in COEFFICIENT_REGISTRY, "model.name",
+                 f"unknown registry model {raw['name']!r}; choose from "
+                 f"{sorted(COEFFICIENT_REGISTRY)}")
         return ModelConfig(kind=kind, dim=dim, noise_dim=noise_dim, name=raw["name"],
                            rho=float(raw.get("rho", 0.1)),
                            delay_variant=raw.get("delay_variant", "none"))
@@ -212,6 +219,13 @@ def _report_dir(cfg, out_override):
     return os.path.join(base, cfg.scenario)
 
 
+def _primary_run(cfg):
+    """(model, integrator settings, constant initial value) of a one-ensemble command."""
+    model = cfg.model.build_primary(cfg.generator)
+    rho = model.delay.rho if model.delay.variant != "none" else 0.0
+    return model, cfg.sim_cfg(rho, cfg.sim.seed), np.full(model.dim, cfg.initial_values[-1])
+
+
 def _apply_overrides(cfg, seed, dt_per_rho, atom_cap):
     if seed is not None:
         cfg = replace(cfg, sim=replace(cfg.sim, seed=seed),
@@ -222,6 +236,29 @@ def _apply_overrides(cfg, seed, dt_per_rho, atom_cap):
     if atom_cap is not None:
         cfg = replace(cfg, tolerances=replace(cfg.tolerances, atom_cap=atom_cap))
     return cfg
+
+
+def exit_code(exc):
+    """Exit status of a command that raised ``exc``: 2 for a scenario-configuration
+    error, 3 for any other failure (runtime, numerics, or a fault in the program)."""
+    return 2 if isinstance(exc, ConfigError) else 3
+
+
+@contextlib.contextmanager
+def _exit_on_error(where=""):
+    """Exit with ``exit_code`` of an exception escaping the block, after one stderr line
+    (a traceback for an exception that is not a HybridLabError).  Wraps each command
+    body; ``where`` names the stage in Blowup messages."""
+    try:
+        yield
+    except Exception as exc:
+        if isinstance(exc, Blowup):
+            click.echo(f"Blowup{where} at t={exc.t:.6g}, path {exc.path_index}", err=True)
+        elif isinstance(exc, HybridLabError):
+            click.echo(f"{type(exc).__name__}: {exc}", err=True)
+        else:
+            traceback.print_exc()
+        sys.exit(exit_code(exc))
 
 
 @click.group()
@@ -242,16 +279,12 @@ DTK_OPT = click.option("--dt-per-rho", type=int, default=None,
 
 @main.command()
 @CONFIG_OPT
+@_exit_on_error()
 def validate(config_path):
     """Parse and validate a scenario; print its provenance block."""
-    try:
-        cfg = parse_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(2)
+    cfg = parse_config(config_path)
     click.echo(json.dumps({"scenario": cfg.scenario, "provenance": cfg.provenance},
                           indent=2, sort_keys=True))
-    sys.exit(0)
 
 
 @main.command()
@@ -259,27 +292,13 @@ def validate(config_path):
 @SEED_OPT
 @OUT_OPT
 @DTK_OPT
+@_exit_on_error()
 def simulate(config_path, seed, out_dir, dt_per_rho):
     """Integrate one trajectory of the scenario model and export it as CSV."""
-    try:
-        cfg = parse_config(config_path)
-        cfg = _apply_overrides(cfg, seed, dt_per_rho, None)
-    except ConfigError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(2)
-    model = cfg.model.build_primary(cfg.generator)
-    rho = model.delay.rho if model.delay.variant != "none" else 0.0
-    sim = cfg.sim_cfg(rho, cfg.sim.seed)
-    xi = np.full(model.dim, cfg.initial_values[-1])
+    cfg = _apply_overrides(parse_config(config_path), seed, dt_per_rho, None)
+    model, sim, xi = _primary_run(cfg)
     s = cfg.times.s
-    try:
-        tr = integrate(model, s, xi, cfg.initial_mode, s + cfg.times.horizon, sim)
-    except Blowup as exc:
-        click.echo(f"Blowup at t={exc.t:.6g}, path {exc.path_index}", err=True)
-        sys.exit(3)
-    except HybridLabError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(3)
+    tr = integrate(model, s, xi, cfg.initial_mode, s + cfg.times.horizon, sim)
     modes = np.zeros(len(tr.times), dtype=int)
     inside = tr.times >= tr.start_time - 1e-12
     modes[inside] = modes_on_grid(tr.mode_path, np.clip(tr.times[inside], tr.start_time, None))
@@ -290,7 +309,6 @@ def simulate(config_path, seed, out_dir, dt_per_rho):
     path = os.path.join(_report_dir(cfg, out_dir), "trajectory.csv")
     _write_csv(path, rows)
     click.echo(path)
-    sys.exit(0)
 
 
 @main.command()
@@ -298,43 +316,28 @@ def simulate(config_path, seed, out_dir, dt_per_rho):
 @SEED_OPT
 @OUT_OPT
 @CAP_OPT
+@_exit_on_error()
 def measure(config_path, seed, out_dir, atom_cap):
     """Estimate the time-t law by a burn-in ensemble and export the atom table."""
-    try:
-        cfg = parse_config(config_path)
-        cfg = _apply_overrides(cfg, seed, None, atom_cap)
-    except ConfigError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(2)
-    model = cfg.model.build_primary(cfg.generator)
-    rho = model.delay.rho if model.delay.variant != "none" else 0.0
-    sim = cfg.sim_cfg(rho, cfg.sim.seed)
-    xi = np.full(model.dim, cfg.initial_values[-1])
+    cfg = _apply_overrides(parse_config(config_path), seed, None, atom_cap)
+    model, sim, xi = _primary_run(cfg)
     t = cfg.times.t
-    try:
-        mu = ensemble_at(model, t - cfg.times.t_burn, xi, cfg.initial_mode, t,
-                         cfg.samples.paths, sim)
-    except Blowup as exc:
-        click.echo(f"Blowup at t={exc.t:.6g}, path {exc.path_index}", err=True)
-        sys.exit(3)
-    if mu.space_tag == "H":
-        width = len(mu.points[0].values)
-        if model.dim == 1:
-            names = tuple(f"seg_{i}" for i in range(width))
-        else:  # node-major: seg_<node>_<coordinate>
-            names = tuple(f"seg_{i}_{c + 1}" for i in range(width) for c in range(model.dim))
-        rows = [("weight", "mode") + names]
-        for p, w in zip(mu.points, mu.weights):
-            rows.append((repr(float(w)), str(p.mode))
-                        + tuple(repr(float(v)) for v in p.values.ravel()))
-    else:
-        rows = [("weight", "mode") + tuple(f"x_{i + 1}" for i in range(model.dim))]
-        for (x, j), w in zip(mu.points, mu.weights):
-            rows.append((repr(float(w)), str(j)) + tuple(repr(float(v)) for v in x))
+    mu = ensemble_at(model, t - cfg.times.t_burn, xi, cfg.initial_mode, t,
+                     cfg.samples.paths, sim)
+    width = mu.values.shape[1]
+    if mu.space_tag == "H0":
+        names = tuple(f"x_{c + 1}" for c in range(model.dim))
+    elif model.dim == 1:
+        names = tuple(f"seg_{i}" for i in range(width))
+    else:  # node-major: seg_<node>_<coordinate>
+        names = tuple(f"seg_{i}_{c + 1}" for i in range(width) for c in range(model.dim))
+    rows = [("weight", "mode") + names]
+    for v, j, w in zip(mu.values.reshape(len(mu.modes), -1).tolist(), mu.modes.tolist(),
+                       mu.weights.tolist()):
+        rows.append((repr(w), str(j)) + tuple(map(repr, v)))
     path = os.path.join(_report_dir(cfg, out_dir), "measure.csv")
     _write_csv(path, rows)
     click.echo(path)
-    sys.exit(0)
 
 
 @main.command()
@@ -343,14 +346,10 @@ def measure(config_path, seed, out_dir, atom_cap):
 @OUT_OPT
 @CAP_OPT
 @DTK_OPT
+@_exit_on_error()
 def suite(config_path, seed, out_dir, atom_cap, dt_per_rho):
     """Run every suite listed in the scenario and write CSV + verdict.json."""
-    try:
-        cfg = parse_config(config_path)
-        cfg = _apply_overrides(cfg, seed, dt_per_rho, atom_cap)
-    except ConfigError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(2)
+    cfg = _apply_overrides(parse_config(config_path), seed, dt_per_rho, atom_cap)
     out = _report_dir(cfg, out_dir)
     verdict = {
         "scenario": cfg.scenario,
@@ -360,18 +359,8 @@ def suite(config_path, seed, out_dir, atom_cap, dt_per_rho):
     all_passed = True
     first_fail = None
     for name in cfg.suites:
-        try:
+        with _exit_on_error(f" in suite {name}"):
             report = SUITES[name](cfg)
-        except Blowup as exc:
-            click.echo(f"Blowup in suite {name} at t={exc.t:.6g}, path {exc.path_index}",
-                       err=True)
-            sys.exit(3)
-        except ConfigError as exc:
-            click.echo(f"{type(exc).__name__}: {exc}", err=True)
-            sys.exit(2)
-        except HybridLabError as exc:
-            click.echo(f"{type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
         _write_csv(os.path.join(out, f"{name}.csv"), report.csv_rows())
         verdict["suites"].append({
             "suite": name,
@@ -392,7 +381,6 @@ def suite(config_path, seed, out_dir, atom_cap, dt_per_rho):
     if not all_passed:
         click.echo(f"suite failed: {first_fail}", err=True)
         sys.exit(1)
-    sys.exit(0)
 
 
 if __name__ == "__main__":

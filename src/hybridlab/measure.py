@@ -1,10 +1,13 @@
 """Empirical measures on segment space and the bounded-Lipschitz metric.
 
-An empirical measure is a finite weighted set of atoms: history segments
-paired with a mode ("H" variant), or plain state/mode pairs ("H0"
-variant, used for the zero-delay limit).  The bounded-Lipschitz (BL)
-distance between two such measures is computed exactly, after supports
-larger than ``atom_cap`` are subsampled, in one of two forms:
+An empirical measure holds its M weighted atoms (segment, mode) as arrays:
+``values`` (M, K, d), the segments on K equally spaced nodes of [-rho, 0],
+``modes`` (M,) and ``weights`` (M,).  A point of the zero-delay space
+R^n x S is a one-node segment with rho = 0, so one distance serves both.
+Measures whose atoms differ in node count, dimension or rho are not
+compared (GridMismatch).  The bounded-Lipschitz (BL) distance is computed
+exactly, after supports larger than ``atom_cap`` are subsampled, in one
+of two forms:
 
 - Two uniform measures of the same size (the suite case: subsampling
   returns ``atom_cap`` uniform atoms) take the transport form.  By
@@ -27,7 +30,6 @@ transport form by up to 1.7e-9 on laws close to point masses).
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,89 +53,100 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted finite collection of atoms on H or on R^n x S."""
+    """Weighted finite collection of atoms (segment, mode), stored as arrays.
 
-    points: tuple
-    weights: np.ndarray
-    space_tag: str  # "H" | "H0"
+    ``values[a]`` is atom a's segment on K equally spaced nodes of [-rho, 0];
+    a state point of R^n x S is the one-node segment of rho = 0.
+    """
+
+    values: np.ndarray   # (M, K, d)
+    modes: np.ndarray    # (M,) int
+    weights: np.ndarray = None  # (M,); uniform when not given
+    rho: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        w = np.full(len(v), 1.0 / len(v)) if self.weights is None else self.weights
+        w = np.asarray(w, dtype=float)
         if np.any(w <= 0) or abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValidationError("weights must be positive and sum to 1")
-        if len(self.points) != len(w):
+        if v.ndim != 3 or len(v) != len(w) or np.shape(self.modes) != w.shape:
             raise ValidationError("points and weights length mismatch")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "modes", np.asarray(self.modes, dtype=int))
         object.__setattr__(self, "weights", w)
-        if self.space_tag == "H":
-            shapes = {(p.values.shape, round(p.rho, 12)) for p in self.points}
-            if len(shapes) > 1:
-                raise GridMismatch("H atoms must share rho and grid resolution")
-        elif self.space_tag != "H0":
-            raise ValidationError(f"unknown space tag {self.space_tag!r}")
 
     @classmethod
     def from_segments(cls, segments, weights=None):
-        n = len(segments)
-        w = np.full(n, 1.0 / n) if weights is None else weights
-        return cls(points=tuple(segments), weights=w, space_tag="H")
+        segments = tuple(segments)
+        if len({(p.values.shape, round(p.rho, 12)) for p in segments}) > 1:
+            raise GridMismatch("H atoms must share rho and grid resolution")
+        return cls(np.stack([p.values for p in segments]), np.array([p.mode for p in segments]),
+                   weights, segments[0].rho)
 
     @classmethod
     def from_state_points(cls, points, weights=None):
-        pts = tuple((np.asarray(x, dtype=float).reshape(-1), int(j)) for x, j in points)
-        n = len(pts)
-        w = np.full(n, 1.0 / n) if weights is None else weights
-        return cls(points=pts, weights=w, space_tag="H0")
+        xs, modes = zip(*points)
+        return cls(np.stack([np.reshape(x, (1, -1)) for x in xs]), np.array(modes), weights)
+
+    @property
+    def space_tag(self):
+        """"H" for segment atoms, "H0" for state points (rho = 0)."""
+        return "H" if self.rho > 0.0 else "H0"
+
+    @property
+    def points(self):
+        """The atoms as SegmentGrid objects on H, or (x, j) pairs on H0."""
+        if self.rho > 0.0:
+            return tuple(SegmentGrid(rho=self.rho, values=v, mode=j)
+                         for v, j in zip(self.values, self.modes.tolist()))
+        return tuple((v[0], j) for v, j in zip(self.values, self.modes.tolist()))
 
 
-def _atom_arrays(points, space_tag):
-    """(values, modes) of a tuple of atoms: (n, m+1, d) segments for H, (n, d) for H0."""
-    if space_tag == "H":
-        return (np.stack([p.values for p in points]),
-                np.array([p.mode for p in points], dtype=float))
-    return np.stack([p[0] for p in points]), np.array([p[1] for p in points], dtype=float)
-
-
-def _distances(a, b, space_tag, spec):
-    """Distances between every atom of ``a`` and every atom of ``b``, (len(a), len(b)).
-
-    The state term is the Euclidean gap, its sup over segment nodes for H atoms; the
-    mode term is |j1 - j2| ("label") or 1_{j1 != j2} ("discrete").
-    """
-    va, ma = _atom_arrays(a, space_tag)
-    vb, mb = _atom_arrays(b, space_tag)
-    state = np.linalg.norm(va[:, None] - vb[None, :], axis=-1)
-    if space_tag == "H":
-        state = np.max(state, axis=-1)
+def _distances(va, ma, vb, mb, spec):
+    """Distances between every atom (va, ma) and every atom (vb, mb), (len(va), len(vb)):
+    the sup over nodes of the Euclidean gap, plus |j1 - j2| ("label") or 1_{j1 != j2}
+    ("discrete").  A non-finite distance (a squared gap that overflows) raises
+    NonFiniteCoefficient."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        state = np.max(np.linalg.norm(va[:, None] - vb[None, :], axis=-1), axis=-1)
     if spec.mode_metric == "label":
         md = np.abs(ma[:, None] - mb[None, :])
     else:
-        md = (ma[:, None] != mb[None, :]).astype(float)
-    return state + md
+        md = ma[:, None] != mb[None, :]
+    D = state + md
+    if not np.all(np.isfinite(D)):
+        raise NonFiniteCoefficient("non-finite distance between atoms")
+    return D
 
 
 def h_distance(a, b, spec):
     """Distance between two H points: sup-norm of the segment gap plus mode term."""
-    if a.values.shape != b.values.shape or abs(a.rho - b.rho) > 1e-12:
-        raise GridMismatch("segments live on different grids")
-    return float(_distances((a,), (b,), "H", spec)[0, 0])
+    mu = EmpiricalMeasure.from_segments([a, b])  # GridMismatch unless they share a grid
+    return float(_distances(mu.values[:1], mu.modes[:1], mu.values[1:], mu.modes[1:], spec)[0, 0])
 
 
-def _subsample(points, weights, cap, seed):
-    if len(points) <= cap:
-        return points, weights
-    rng = make_stream(seed, len(points))
-    idx = rng.choice(len(points), size=cap, p=weights)
-    return tuple(points[i] for i in idx), np.full(cap, 1.0 / cap)
+def _subsample(mu, cap, seed):
+    """(values, modes, weights) of mu, or of cap atoms drawn i.i.d. from mu."""
+    n = len(mu.weights)
+    if n <= cap:
+        return mu.values, mu.modes, mu.weights
+    rng = make_stream(seed, n)
+    idx = rng.choice(n, size=cap, p=mu.weights)
+    return mu.values[idx], mu.modes[idx], np.full(cap, 1.0 / cap)
+
+
+def _atom_keys(values, modes):
+    """One bytes key per atom: its values, then its mode as <i4."""
+    n = len(modes)
+    rows = np.empty((n, values[0].nbytes + 4), dtype=np.uint8)
+    rows[:, :-4] = np.ascontiguousarray(values).reshape(n, -1).view(np.uint8)
+    rows[:, -4:] = modes.astype("<i4").reshape(n, 1).view(np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 def _measure_key(mu):
-    if mu.space_tag == "H":
-        body = b"".join(p.values.tobytes() + p.mode.to_bytes(4, "little", signed=True)
-                        for p in mu.points)
-    else:
-        body = b"".join(p[0].tobytes() + p[1].to_bytes(4, "little", signed=True)
-                        for p in mu.points)
-    return mu.weights.tobytes() + body
+    return mu.weights.tobytes() + _atom_keys(mu.values, mu.modes).tobytes()
 
 
 def linprog(*args, **kwargs):
@@ -196,14 +209,15 @@ def _bl_transport(D):
     return None
 
 
-def _bl_lp(points, delta, space_tag, spec):
-    """BL by the dual LP over the pooled support ``points`` with signed weights ``delta``.
+def _bl_lp(values, modes, delta, spec):
+    """BL by the dual LP over the pooled support (values, modes) with signed weights
+    ``delta``.
 
     Solves max sum_i a_i delta_i subject to |a_i| <= c, |a_i - a_k| <= L d(x_i, x_k),
     c + L <= 1.
     """
-    n = len(points)
-    D = _distances(points, points, space_tag, spec)
+    n = len(delta)
+    D = _distances(values, modes, values, modes, spec)
     iu, ku = np.triu_indices(n, k=1)
     npairs = len(iu)
     # variables: a_0..a_{n-1}, c, L
@@ -256,26 +270,25 @@ def bl_distance(mu1, mu2, spec, atom_cap=DEFAULT_ATOM_CAP, subsample_seed=0):
     (``_bl_transport``); any other pair, or a transport solve that is not certified
     within BL_MAX_CUTS cuts, by the LP over the pooled support (``_bl_lp``).  The
     call is symmetric by construction (arguments are canonically ordered first).
+    Measures whose atoms differ in node count, dimension or rho raise GridMismatch.
     """
-    if mu1.space_tag != mu2.space_tag:
-        raise GridMismatch("measures live on different spaces")
+    if mu1.values.shape[1:] != mu2.values.shape[1:] or abs(mu1.rho - mu2.rho) > 1e-12:
+        raise GridMismatch(f"atoms on different grids: {mu1.values.shape[1:]} nodes x coordinates "
+                           f"at rho={mu1.rho:g} against {mu2.values.shape[1:]} at rho={mu2.rho:g}")
     if _measure_key(mu1) > _measure_key(mu2):
         mu1, mu2 = mu2, mu1
-    p1, w1 = _subsample(mu1.points, mu1.weights, atom_cap, subsample_seed)
-    p2, w2 = _subsample(mu2.points, mu2.weights, atom_cap, subsample_seed + 1)
+    v1, m1, w1 = _subsample(mu1, atom_cap, subsample_seed)
+    v2, m2, w2 = _subsample(mu2, atom_cap, subsample_seed + 1)
     if len(w1) == len(w2) and np.all(w1 == w1[0]) and np.all(w2 == w2[0]):
-        value = _bl_transport(_distances(p1, p2, mu1.space_tag, spec))
+        value = _bl_transport(_distances(v1, m1, v2, m2, spec))
         if value is not None:
             return value
-    return _bl_lp(tuple(p1) + tuple(p2), np.concatenate([w1, -w2]), mu1.space_tag, spec)
+    return _bl_lp(np.concatenate([v1, v2]), np.concatenate([m1, m2]),
+                  np.concatenate([w1, -w2]), spec)
 
 
 def _atoms_at(m, jobs, j0, t, cfg):
-    """Empirical measure of the paths ``jobs`` at time t, uniform over paths.
-
-    Atoms are (segment, mode) pairs when the model has a delay, and
-    (endpoint, mode) pairs otherwise.
-    """
+    """Empirical measure of the paths ``jobs`` at time t, uniform over paths."""
     paths = integrate_paths(m, jobs, j0, t, cfg)
     if m.delay.variant != "none":
         return EmpiricalMeasure.from_segments([segment_at(tr, t) for tr in paths])
@@ -287,7 +300,7 @@ def ensemble_at(m, s, xi, j0, t, M, cfg):
     """Uniform empirical measure of M i.i.d. path states at time t.
 
     Atoms are (segment, mode) pairs when the model has a delay, and
-    (endpoint, mode) pairs otherwise.
+    (endpoint, mode) pairs, one-node segments of rho = 0, otherwise.
     """
     if M < 1:
         raise ValidationError("M must be >= 1")
@@ -322,23 +335,19 @@ def kb_average(m, xi, j0, t, n, starts, paths_per_start, cfg):
 def project_T(mu):
     """Push an H measure forward to R^n x S via (segment, mode) -> (segment(0), mode).
 
-    Atoms with identical images are merged with summed weight.
+    Atoms whose images have the same bytes are merged, in order of first
+    appearance, with their weights summed in atom order.
     """
-    if mu.space_tag != "H":
+    if mu.rho <= 0.0:
         raise ValidationError("project_T expects an H-variant measure")
-    merged = {}
-    order = []
-    for seg, w in zip(mu.points, mu.weights):
-        x = np.asarray(seg.endpoint, dtype=float)
-        key = (x.tobytes(), seg.mode)
-        if key not in merged:
-            merged[key] = [x, seg.mode, 0.0]
-            order.append(key)
-        merged[key][2] += w
-    pts = [(merged[k][0], merged[k][1]) for k in order]
-    w = np.array([merged[k][2] for k in order])
-    w = w / w.sum()
-    return EmpiricalMeasure.from_state_points(pts, weights=w)
+    ends = mu.values[:, -1:]
+    _, first, inverse = np.unique(_atom_keys(ends, mu.modes), return_index=True,
+                                  return_inverse=True)
+    keep = np.zeros(len(inverse), dtype=bool)
+    keep[first] = True
+    rank = np.cumsum(keep) - 1  # by first appearance; an integer sort would map 0.5 MB of code
+    w = np.bincount(rank[first][inverse], weights=mu.weights)
+    return EmpiricalMeasure(ends[keep], mu.modes[keep], w / w.sum())
 
 
 def restrict(xi_full, rho, num_points=None):
@@ -378,29 +387,26 @@ class TightnessReport:
 
 def tightness_report(mu, R_grid, eta_grid):
     """Boundedness-in-probability and modulus-of-continuity diagnostics."""
-    if mu.space_tag != "H":
+    if mu.rho <= 0.0:
         raise ValidationError("tightness_report expects an H-variant measure")
     R_grid = np.asarray(R_grid, dtype=float)
     eta_grid = np.asarray(eta_grid, dtype=float)
-    norms = np.array([np.max(np.linalg.norm(p.values, axis=1)) for p in mu.points])
+    v = mu.values
     w = mu.weights
+    norms = np.max(np.linalg.norm(v, axis=-1), axis=-1)
     prob = np.array([float(w[norms <= R].sum()) for R in R_grid])
-    rho = mu.points[0].rho
-    npts = len(mu.points[0].values)
-    spacing = rho / (npts - 1)
+    npts = v.shape[1]
+    spacing = mu.rho / (npts - 1)
+    wins = [min(max(int(np.floor(eta / spacing + 1e-12)), 0), npts - 1) for eta in eta_grid]
+    # lag_mod[lag][a]: atom a's largest node gap at any lag up to ``lag``
+    lag_mod = [np.zeros(len(w))]
+    for lag in range(1, max(wins, default=0) + 1):
+        gap = np.max(np.linalg.norm(v[:, lag:] - v[:, :-lag], axis=-1), axis=-1)
+        lag_mod.append(np.maximum(lag_mod[-1], gap))
     mod_mean = []
     mod_q95 = []
-    for eta in eta_grid:
-        win = int(np.floor(eta / spacing + 1e-12))
-        per_atom = np.zeros(len(mu.points))
-        if win > 0:
-            for a, p in enumerate(mu.points):
-                v = p.values
-                best = 0.0
-                for lag in range(1, min(win, npts - 1) + 1):
-                    d = np.max(np.linalg.norm(v[lag:] - v[:-lag], axis=1))
-                    best = max(best, d)
-                per_atom[a] = best
+    for win in wins:
+        per_atom = lag_mod[win]
         mod_mean.append(float(np.sum(w * per_atom)))
         order = np.argsort(per_atom)
         cum = np.cumsum(w[order])

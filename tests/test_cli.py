@@ -6,6 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from hybridlab import cli
 from hybridlab.cli import main, parse_config
 from hybridlab.errors import ParseError, ValidationError
 
@@ -278,3 +279,43 @@ def test_endpoint_convergence_blowup_exit_3(tmp_path):
                                     "--out", str(tmp_path / "out")])
     assert res.exit_code == 3
     assert "Blowup in suite endpoint_convergence" in res.output
+
+
+def command_args(command, path, tmp_path):
+    args = [command, "--config", path]
+    return args if command == "validate" else args + ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["validate", "suite", "simulate", "measure"])
+def test_unknown_registry_model_exits_2(tmp_path, command):
+    raw = base_config()
+    raw["model"] = {"kind": "registry", "name": "nope"}
+    res = CliRunner().invoke(main, command_args(command, write_config(tmp_path, raw), tmp_path))
+    assert res.exit_code == 2
+    assert "ValidationError: model.name" in res.output
+
+
+def test_measure_config_error_from_ensemble_exits_2(tmp_path):
+    # a burn-in shorter than rho passes parsing, and the ensemble rejects it
+    raw = base_config()
+    raw["times"]["t_burn"] = 0.0
+    res = CliRunner().invoke(main, command_args("measure", write_config(tmp_path, raw), tmp_path))
+    assert res.exit_code == 2
+    assert "ValidationError" in res.output
+
+
+@pytest.mark.parametrize("command, target", [
+    ("validate", "parse_config"), ("simulate", "integrate"), ("measure", "ensemble_at"),
+    ("suite", "SUITES")])
+def test_unexpected_exception_exits_3_with_traceback(tmp_path, monkeypatch, command, target):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken on purpose")
+
+    if target == "SUITES":
+        monkeypatch.setitem(cli.SUITES, "stability", broken)
+    else:
+        monkeypatch.setattr(cli, target, broken)
+    res = CliRunner().invoke(main, command_args(command, write_config(tmp_path, base_config()),
+                                                tmp_path))
+    assert res.exit_code == 3
+    assert "Traceback" in res.output and "RuntimeError: broken on purpose" in res.output

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridlab import measure
-from hybridlab.errors import GridMismatch, ValidationError
+from hybridlab.errors import GridMismatch, NonFiniteCoefficient, ValidationError
 from hybridlab.measure import (EmpiricalMeasure, MetricSpec, bl_distance, ensemble_at,
                                h_distance, integrate_functional, kb_average, project_T,
                                restrict, tightness_report)
@@ -118,6 +118,18 @@ def test_bl_on_segment_atoms():
 def test_bl_space_mismatch():
     with pytest.raises(GridMismatch):
         bl_distance(delta(0.0), point_measure([0.0]), SPEC)
+
+
+@pytest.mark.parametrize("mu, nu, error", [
+    (delta(0.0), EmpiricalMeasure.from_segments([const_seg(1.0, rho=0.2)]), GridMismatch),
+    (delta(0.0), EmpiricalMeasure.from_segments([const_seg(1.0, k=8)]), GridMismatch),
+    (point_measure([0.0]), EmpiricalMeasure.from_state_points([([1.0, 0.0], 1)]), GridMismatch),
+    # the squared gap of states beyond 1e154 overflows to an infinite distance
+    (point_measure([1e155]), point_measure([-1e155]), NonFiniteCoefficient),
+], ids=["rho", "nodes", "dimension", "overflow"])
+def test_bl_distance_checks_inputs(mu, nu, error):
+    with pytest.raises(error):
+        bl_distance(mu, nu, SPEC)
 
 
 @given(shift=st.floats(0.001, 100.0))
