@@ -117,6 +117,8 @@ def parse_config(path):
                       blowup_guard=float(sim_raw.get("blowup_guard", 1e8)),
                       dt=float(sim_raw.get("dt", 0.01)))
     _require(sim.steps_per_rho >= 1, "sim.steps_per_rho", "must be >= 1")
+    _require(np.isfinite(sim.blowup_guard) and sim.blowup_guard > 0, "sim.blowup_guard",
+             "must be finite and positive")
 
     samples_raw = raw.get("samples", {})
     samples = SampleSizes(paths=int(samples_raw.get("paths", 400)),

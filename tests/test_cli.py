@@ -271,6 +271,18 @@ def test_config_error_exits_2_at_parse(tmp_path, command, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "suite", "simulate", "measure"])
+@pytest.mark.parametrize("guard", [float("inf"), float("nan"), 0.0, -1.0],
+                         ids=["Infinity", "NaN", "zero", "negative"])
+def test_blowup_guard_must_be_finite_positive(tmp_path, command, guard):
+    raw = base_config()
+    raw["sim"]["blowup_guard"] = guard  # json.dumps writes Infinity and NaN
+    res = CliRunner().invoke(main, command_args(command, write_config(tmp_path, raw), tmp_path))
+    assert res.exit_code == 2
+    assert "ValidationError: sim.blowup_guard" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_endpoint_convergence_blowup_exit_3(tmp_path):
     raw = base_config(suites=["endpoint_convergence"])
     raw["model"]["gains"] = [[[0.5]], [[0.5]]]

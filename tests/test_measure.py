@@ -64,6 +64,12 @@ def test_weights_must_normalize():
         EmpiricalMeasure.from_segments([const_seg(0.0)], weights=np.array([-1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weights_must_be_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        EmpiricalMeasure(np.zeros((3, 1, 1)), [1, 1, 2], [0.5, bad, 0.5])
+
+
 def test_atoms_must_share_grid():
     with pytest.raises(GridMismatch):
         EmpiricalMeasure.from_segments([const_seg(0.0, rho=0.1), const_seg(0.0, rho=0.2)])
@@ -151,7 +157,7 @@ def random_measure(rng, kind, n, shift=0.0):
 
 
 def bl_by_lp(monkeypatch, mu, nu, spec, **kwargs):
-    """bl_distance with the transport form switched off: the pooled-support LP."""
+    """bl_distance with the assignment-based transport form switched off: the LP."""
     with monkeypatch.context() as m:
         m.setattr(measure, "_bl_transport", lambda D: None)
         return bl_distance(mu, nu, spec, **kwargs)
